@@ -13,7 +13,8 @@ repro      run one canned named experiment end to end
 Common flags: ``--measure`` (input measure JSON), ``--engine``
 (``double | one-sided | density | planar``), ``--config`` (JSON override
 file), ``--out-dir`` (where reports land), ``--depth`` and ``--tol``
-(engine ladder depth / agreement tolerance).  Outputs are deterministic:
+(engine ladder depth / agreement tolerance); ``repro`` takes only
+``--out-dir``.  Outputs are deterministic:
 JSON reports with fixed field order and 17-significant-digit floats, plus
 CSV tables using the same float formatting.
 
@@ -21,11 +22,6 @@ Exit codes: 0 for a decisive result (FiniteConverged or Divergent; a
 certified classification; a passing scenario), 1 for malformed input or
 an unknown scenario, 2 for Inconclusive/Unknown outcomes, 3 for a
 scenario whose checks failed.
-
-The environment variable ``LOGMEASURE_THREADS`` caps the thread count of
-the numeric backends (exported to the standard BLAS/OpenMP knobs); the
-computations here are single-threaded elementwise passes, so the cap is
-a ceiling, never a demand.
 """
 from __future__ import annotations
 
@@ -92,7 +88,7 @@ def _config_overrides(args) -> dict:
 
 def _quadrature_config(args, overrides: dict) -> QuadratureConfig:
     kwargs = {}
-    for key in ("depth_schedule", "divergence_budget", "agreement_tol", "diagonal_mode"):
+    for key in ("depth_schedule", "divergence_budget", "agreement_tol"):
         if key in overrides:
             kwargs[key] = overrides[key]
     if "depth_schedule" in kwargs:
@@ -134,7 +130,7 @@ def _cmd_energy(args) -> int:
             if isinstance(m, StepDensity):
                 m = cdf_from_step_density(m)
             est = (energy_double_stieltjes if engine == "double" else energy_one_sided)(m, cfg)
-    report = {"engine": engine, "measure": doc, "estimate": lio.energy_estimate_to_json(est)}
+    report = {"engine": engine, "measure": doc, "estimate": est.as_dict()}
     jpath = _write_text(args.out_dir, "energy.json", lio.dumps(report))
     cpath = _write_text(args.out_dir, "trace.csv", lio.trace_csv(est.trace))
     print(f"verdict={est.verdict} value={fmt(est.value)} "
@@ -151,7 +147,7 @@ def _cmd_classify(args) -> int:
     m = lio.measure_from_json(doc)
     cfg = _quadrature_config(args, overrides)
     verdict = classify_membership(m, cfg)
-    report = {"measure": doc, "classification": lio.membership_to_json(verdict)}
+    report = {"measure": doc, "classification": verdict.as_dict()}
     jpath = _write_text(args.out_dir, "classify.json", lio.dumps(report))
     print(f"verdict={verdict.verdict} rule={verdict.rule}")
     print(f"wrote {jpath}")
@@ -353,33 +349,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repro", help="run a canned named experiment")
     p.add_argument("scenario", help="one of: " + ", ".join(SCENARIO_NAMES))
-    p.add_argument("--config", help="JSON file with parameter overrides")
     p.add_argument("--out-dir", default=".", help="directory for reports (default: .)")
     p.set_defaults(fn=_cmd_repro)
 
     return parser
 
 
-def _apply_thread_cap() -> None:
-    raw = os.environ.get("LOGMEASURE_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise BadParams(f"LOGMEASURE_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise BadParams(f"LOGMEASURE_THREADS must be a positive integer, got {raw!r}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_thread_cap()
         return args.fn(args)
     except LogMeasureError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -24,8 +24,6 @@ explicit third verdict.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,14 +119,6 @@ def _kern(arr: np.ndarray) -> np.ndarray:
         return np.maximum(-np.log(arr), 0.0)
 
 
-def _n_threads() -> int:
-    raw = os.environ.get("LOGMEASURE_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def holder_energy_bound(K: float, alpha: float, mass: float) -> float:
     """2 (K / alpha) * mass — energy bound for a (K, alpha)-Holder CDF."""
     if not (0.0 < alpha <= 1.0):
@@ -144,57 +134,49 @@ def holder_energy_bound(K: float, alpha: float, mass: float) -> float:
 # Double-Stieltjes engine
 
 
-def _lag_sums(bounds: np.ndarray, masses: np.ndarray, lag_lo: int, lag_hi: int):
+def _bracket_sums(bounds: np.ndarray, masses: np.ndarray, lag_lo: int, lag_hi: int, keep=None):
     """Lower/upper kernel sums over cell pairs (i, i+L) for L in [lag_lo, lag_hi).
 
     Lower terms use the maximal separation bounds[i+L+1] - bounds[i]; upper
     terms use the gap bounds[i+L] - bounds[i+1], clipped away from zero so
     zero-width interior cells cannot produce inf (the atom rule preempts any
-    heavy concentration).  The gap array at lag L equals an interior slice
-    of the span array at lag L-2, so each kernel (log) pass is computed once
-    and reused two lags later.  Returns ordered per-lag partial sums (factor
-    2 for the two orderings of each pair is applied here).
+    heavy concentration).  Touching pairs (L = 1) have no gap; their upper
+    uses the wider cell's width instead.  The gap array at lag L equals an
+    interior slice of the span array at lag L-2, so each kernel (log) pass
+    is computed once and reused two lags later.  Once every gap is beyond
+    kernel range the loop stops: gaps grow with the lag and spans are at
+    least as wide, so all remaining terms are exactly 0.
+
+    keep(L), when given, returns the indices i of the pairs (i, i+L) to
+    count at lag L, or None to count all of them.  Returns ordered per-lag
+    partial sums (factor 2 for the two orderings of each pair included).
     """
     lows, ups = [], []
     n = masses.size
     cache = {}
-    for L in range(lag_lo, lag_hi):
+    for L in range(lag_lo, min(lag_hi, n)):
         span = bounds[L + 1 :] - bounds[: n - L]
         ks = _kern(np.maximum(span, _TINY))
         cache[L] = ks
         kg = cache.pop(L - 2, None)
         if kg is not None:
             kg = kg[1 : n - L + 1]
-        else:
+        elif L >= 2:
             gap = bounds[L:n] - bounds[1 : n - L + 1]
             kg = _kern(np.maximum(gap, _TINY))
-        if kg.size and float(np.max(kg)) <= 0.0:
-            # gaps only grow with the lag: all remaining pairs are beyond
-            # kernel range
+        else:
+            wc = np.maximum(np.diff(bounds), _TINY)
+            kg = _kern(np.maximum(wc[: n - 1], wc[1:]))
+        # kg[0] first: the full scan runs only once one gap is out of range
+        if L >= 2 and kg[0] <= 0.0 and float(np.max(kg)) <= 0.0:
             break
         mm = masses[: n - L] * masses[L:]
+        idx = keep(L) if keep is not None else None
+        if idx is not None:
+            mm, ks, kg = mm[idx], ks[idx], kg[idx]
         lows.append(2.0 * float(np.dot(mm, ks)))
         ups.append(2.0 * float(np.dot(mm, kg)))
     return lows, ups
-
-
-def _offdiag_sums(bounds: np.ndarray, masses: np.ndarray, lag_lo: int = 2):
-    """Bracket sums over all pairs at lag >= lag_lo, optionally threaded."""
-    n = masses.size
-    if n <= lag_lo:
-        return 0.0, 0.0
-    threads = _n_threads()
-    if threads == 1:
-        lows, ups = _lag_sums(bounds, masses, lag_lo, n)
-        return math.fsum(lows), math.fsum(ups)
-    # chunk the lag range; chunks are combined in fixed order
-    edges = np.linspace(lag_lo, n, threads + 1, dtype=int)
-    jobs = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        parts = list(ex.map(lambda ab: _lag_sums(bounds, masses, ab[0], ab[1]), jobs))
-    lows = [x for p in parts for x in p[0]]
-    ups = [x for p in parts for x in p[1]]
-    return math.fsum(lows), math.fsum(ups)
 
 
 def _near_bracket(F, n: int, cfg, atom_floor: float, off_lo: float, off_up: float):
@@ -239,43 +221,21 @@ def _near_bracket(F, n: int, cfg, atom_floor: float, off_lo: float, off_up: floa
                 if float(np.max(runs)) * F.total_mass / (n * s) >= mass_floor:
                     return math.inf, math.inf, True
         m = masses.size
-        wc = np.maximum(widths, _TINY)
-        diag = float(np.dot(masses * masses, _kern(wc)))
-        lo_parts = [diag]
-        up_parts = [diag]
-        heur = diag
+        diag = float(np.dot(masses * masses, _kern(np.maximum(widths, _TINY))))
         parent = np.arange(m, dtype=np.int64) // s
-        cache = {}
-        for L in range(1, min((W + 1) * s, m)):
-            span = bounds[L + 1 :] - bounds[: m - L]
-            ks = _kern(np.maximum(span, _TINY))
-            cache[L] = ks
-            kg = cache.pop(L - 2, None)
-            if kg is not None:
-                kg = kg[1 : m - L + 1]
-            elif L >= 2:
-                gap = bounds[L:m] - bounds[1 : m - L + 1]
-                kg = _kern(np.maximum(gap, _TINY))
-            mm = masses[: m - L] * masses[L:]
+
+        def keep(L):
+            # partial lags: only pairs whose parent distance is within the
+            # window (other lags are entirely inside it)
             if L > (W - 1) * s and L != W * s:
-                # partial lags: only pairs whose parent distance is within
-                # the window (other lags are entirely inside it)
-                keep = np.nonzero(parent[L:] - parent[: m - L] <= W)[0]
-                if keep.size == 0:
-                    continue
-                mm = mm[keep]
-                ks = ks[keep]
-                if kg is not None:
-                    kg = kg[keep]
-            lo_parts.append(2.0 * float(np.dot(mm, ks)))
-            if L == 1:
-                up1 = 2.0 * float(np.dot(mm, _kern(np.maximum(wc[: m - 1], wc[1:]))))
-                up_parts.append(up1)
-                heur += up1
-            else:
-                up_parts.append(2.0 * float(np.dot(mm, kg)))
-        near_lo = math.fsum(lo_parts)
-        near_up = math.fsum(up_parts)
+                return np.nonzero(parent[L:] - parent[: m - L] <= W)[0]
+            return None
+
+        lows, ups = _bracket_sums(bounds, masses, 1, (W + 1) * s, keep)
+        # heuristic part of the upper: diagonal and touching (lag-1) pairs
+        heur = diag + sum(ups[:1])
+        near_lo = math.fsum([diag] + lows)
+        near_up = math.fsum([diag] + ups)
         lower_est = off_lo + near_lo
         width_target = max(
             0.25 * (off_up - off_lo),
@@ -309,7 +269,8 @@ def energy_double_stieltjes(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureCo
     for n in cfg.depth_schedule:
         bounds, fvals = _partition_arrays(F, n)
         masses = np.diff(fvals)
-        off_lo, off_up = _offdiag_sums(bounds, masses, _NEAR_WINDOW + 1)
+        lows, ups = _bracket_sums(bounds, masses, _NEAR_WINDOW + 1, masses.size)
+        off_lo, off_up = math.fsum(lows), math.fsum(ups)
         near_lo, near_up, atom_hit = _near_bracket(F, n, cfg, atom_floor, off_lo, off_up)
         if atom_hit:
             trace.append((n, math.inf, math.inf))

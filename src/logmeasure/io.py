@@ -60,9 +60,6 @@ __all__ = [
     "cantor_spec_to_json",
     "cantor_spec_from_json",
     "planar_from_json",
-    "energy_estimate_to_json",
-    "membership_to_json",
-    "holder_fit_to_json",
     "trace_csv",
     "intervals_csv",
     "velocity_csv",
@@ -294,21 +291,6 @@ def planar_to_json(P: PlanarMeasure) -> dict:
 
 # ----------------------------------------------------------------------
 # Reports
-
-
-def energy_estimate_to_json(est) -> dict:
-    return {"value": est.value, "lower": est.lower, "upper": est.upper,
-            "verdict": est.verdict,
-            "trace": [list(t) for t in est.trace]}
-
-
-def membership_to_json(v) -> dict:
-    return {"verdict": v.verdict, "rule": v.rule, "witness": dict(v.witness)}
-
-
-def holder_fit_to_json(fit) -> dict:
-    return {"alpha": fit.alpha, "K": fit.K,
-            "scales": list(fit.scales), "residual": fit.residual}
 
 
 def trace_csv(trace) -> str:

@@ -124,18 +124,14 @@ class QuadratureConfig:
     depth_schedule lists the mass-partition sizes tried in order; engines
     stop early once brackets agree to agreement_tol (relative, floored at an
     absolute scale of 1).  A lower bound exceeding divergence_budget
-    certifies divergence.  diagonal_mode chooses between recursive
-    bracket refinement of touching cells and a cheap one-sided surcharge.
+    certifies divergence.
     """
 
     depth_schedule: tuple = tuple(2**k for k in range(4, 17))
     divergence_budget: float = 1e3
     agreement_tol: float = 1e-3
-    diagonal_mode: str = "BracketRefine"  # or "OneSidedFallback"
 
     def __post_init__(self):
-        if self.diagonal_mode not in ("BracketRefine", "OneSidedFallback"):
-            raise BadParams(f"unknown diagonal_mode {self.diagonal_mode!r}")
         if not self.depth_schedule or any(n < 1 for n in self.depth_schedule):
             raise BadParams("depth_schedule must list positive partition sizes")
         if self.divergence_budget <= 0 or self.agreement_tol <= 0:
@@ -277,13 +273,9 @@ def _check_continuity_sampled(F: MonotoneCDF, samples: int = 257) -> None:
         return
     span = max(F.support_hi - F.support_lo, 1e-30)
     xs = np.linspace(F.support_lo - span * 0.01, F.support_hi, samples)
-    coarse = None
-    for k in (4, 10, 16, 22):
-        h = span * 2.0**-k
-        inc = np.max(eval_cdf(F, xs + h) - eval_cdf(F, xs))
-        if coarse is None:
-            coarse = inc
     # increments at scale span*2^-22 must be well below the total mass
+    h = span * 2.0**-22
+    inc = np.max(eval_cdf(F, xs + h) - eval_cdf(F, xs))
     if inc > 0.2 * F.total_mass:
         raise DiscontinuousInput(
             "constructor claims continuity but sampled increments do not decay"

@@ -12,8 +12,6 @@ import time
 import numpy as np
 import pytest
 
-import test_properties as props
-
 from logmeasure import (
     MEMBER_CERTIFIED,
     VERDICT_DIVERGENT,
@@ -228,17 +226,6 @@ def test_criterion_8_velocity_consistency():
     _finish(8, time.perf_counter() - t0, 60.0, failures,
             "annulus KE %.4f ~ (1/2pi)ln10, growth slope %.4f ~ 1/2pi, "
             "blob refinement drift %.2g%%" % (ke, slope, 100 * drift))
-
-
-def test_criterion_9_property_suites():
-    t0 = time.perf_counter()
-    names = []
-    for fn in props.PROPERTY_SUITES:
-        fn()
-        names.append(fn.__name__.replace("test_", ""))
-    dt = time.perf_counter() - t0
-    print("\nCRITERION 9: PASS — 1000 randomized cases per property: %s [%.2fs]"
-          % (", ".join(names), dt))
 
 
 if __name__ == "__main__":

@@ -1,7 +1,6 @@
 """End-to-end CLI contract: subcommands, exit codes, deterministic output."""
 import json
 import math
-import os
 import pathlib
 import subprocess
 import sys
@@ -11,13 +10,10 @@ import pytest
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "logmeasure.cli", *map(str, args)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True,
     )
 
 
@@ -217,23 +213,17 @@ class TestReproCommand:
         assert len(rows) == 21  # header + first 20 terms
         assert rows[1] == "1,1"
 
+    def test_config_flag_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}")
+        out = tmp_path / "out"
+        r = run_cli("repro", "llogl-threshold", "--config", cfg, "--out-dir", out)
+        assert r.returncode != 0
+        assert "--config" in r.stderr
+        assert not out.exists()
+
     def test_dimension_table_scenario(self, tmp_path):
         r = run_cli("repro", "dimension-table", "--out-dir", tmp_path)
         assert r.returncode == 0
         doc = json.loads((tmp_path / "repro_dimension_table.json").read_text())
         assert doc["passed"] is True
-
-
-class TestThreadCap:
-    def test_invalid_cap_is_malformed(self, tmp_path):
-        r = run_cli("classify", "--measure", CORPUS / "uniform.json",
-                    "--out-dir", tmp_path, env_extra={"LOGMEASURE_THREADS": "zero"})
-        assert r.returncode == 1
-        r = run_cli("classify", "--measure", CORPUS / "uniform.json",
-                    "--out-dir", tmp_path, env_extra={"LOGMEASURE_THREADS": "0"})
-        assert r.returncode == 1
-
-    def test_valid_cap_accepted(self, tmp_path):
-        r = run_cli("classify", "--measure", CORPUS / "uniform.json",
-                    "--out-dir", tmp_path, env_extra={"LOGMEASURE_THREADS": "2"})
-        assert r.returncode == 0

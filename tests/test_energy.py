@@ -12,6 +12,7 @@ from logmeasure import (
     StepDensity,
     VERDICT_DIVERGENT,
     VERDICT_FINITE,
+    cantor_cdf,
     energy_density,
     energy_double_stieltjes,
     energy_one_sided,
@@ -19,10 +20,13 @@ from logmeasure import (
     l1_divergent_blocks,
     logplus_kernel,
     scale_cdf,
+    standard_cantor_spec,
     table_cdf,
     translate_cdf,
     uniform_cdf,
 )
+from logmeasure.energy import _bracket_sums
+from logmeasure.measures import _partition_arrays
 from oracles import (
     block_energy_oracle,
     one_sided_uniform_identity,
@@ -169,3 +173,86 @@ class TestCheapConfig:
         cfg = QuadratureConfig(depth_schedule=(16, 32))
         est = energy_double_stieltjes(uniform_cdf(0.0, 1.0, 1.0), cfg)
         assert est.lower <= 1.5 <= est.upper
+
+
+def _brute_bracket(bounds, masses, lag_lo, lag_hi, s=1, window=None):
+    """Per-lag (lower, upper) sums by a double loop over cell pairs (i, i+L).
+
+    Lower terms use the pair's span, upper terms its gap, touching pairs the
+    wider cell's width; a window keeps only pairs whose parent cells (groups
+    of s consecutive cells) are at most `window` apart.
+    """
+    def k(d):
+        return max(-math.log(max(d, 5e-324)), 0.0)
+
+    n = len(masses)
+    lows, ups = [], []
+    for L in range(lag_lo, min(lag_hi, n)):
+        lo = up = 0.0
+        for i in range(n - L):
+            j = i + L
+            if window is not None and j // s - i // s > window:
+                continue
+            mm = 2.0 * masses[i] * masses[j]
+            lo += mm * k(bounds[j + 1] - bounds[i])
+            if L == 1:
+                up += mm * k(max(bounds[i + 1] - bounds[i], bounds[j + 1] - bounds[j]))
+            else:
+                up += mm * k(bounds[j] - bounds[i + 1])
+        lows.append(lo)
+        ups.append(up)
+    return lows, ups
+
+
+class TestBracketKernel:
+    """The shared lag kernel against an O(n^2) pair loop on one partition."""
+
+    N = 64
+    MEASURES = {
+        "uniform": lambda: uniform_cdf(0.0, 1.0, 1.0),
+        "cantor3": lambda: cantor_cdf(standard_cantor_spec(3.0)),
+        # support of length 4: gaps leave kernel range from lag 17 on
+        "uniform-wide": lambda: uniform_cdf(0.0, 4.0, 1.0),
+    }
+
+    def _partition(self, name):
+        bounds, fvals = _partition_arrays(self.MEASURES[name](), self.N)
+        return bounds, np.diff(fvals)
+
+    @staticmethod
+    def _check(got, want):
+        lows, ups = got
+        b_lows, b_ups = want
+        # the kernel may stop early; every lag it skipped must be exactly 0
+        assert 0 < len(lows) == len(ups) <= len(b_lows)
+        assert all(x == 0.0 for x in b_lows[len(lows):] + b_ups[len(ups):])
+        assert lows == pytest.approx(b_lows[: len(lows)], rel=1e-12, abs=1e-15)
+        assert ups == pytest.approx(b_ups[: len(ups)], rel=1e-12, abs=1e-15)
+        for lo, up in zip(lows, ups):
+            assert 0.0 <= lo <= up
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    @pytest.mark.parametrize("lag_lo", [1, 5])
+    def test_all_pairs(self, name, lag_lo):
+        bounds, masses = self._partition(name)
+        got = _bracket_sums(bounds, masses, lag_lo, self.N)
+        self._check(got, _brute_bracket(bounds, masses, lag_lo, self.N))
+        if name == "uniform-wide":
+            assert len(got[0]) == 17 - lag_lo
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_parent_window_mask(self, name):
+        s, window = 4, 3
+        bounds, masses = self._partition(name)
+        parent = np.arange(self.N) // s
+
+        def keep(L):
+            return np.nonzero(parent[L:] - parent[: self.N - L] <= window)[0]
+
+        lag_hi = (window + 1) * s
+        got = _bracket_sums(bounds, masses, 1, lag_hi, keep)
+        want = _brute_bracket(bounds, masses, 1, lag_hi, s, window)
+        self._check(got, want)
+        # the window drops pairs at the partial lags
+        full = _brute_bracket(bounds, masses, 1, lag_hi)
+        assert want[1][-1] < full[1][-1]

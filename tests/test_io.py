@@ -147,7 +147,7 @@ class TestReportDocs:
         from logmeasure import energy_planar
 
         est = energy_planar(dirac_at((0.0, 0.0), 1.0))
-        doc = lio.energy_estimate_to_json(est)
+        doc = est.as_dict()
         s = lio.dumps(doc)
         assert '"verdict": "Divergent"' in s
         assert '"value": "inf"' in s
@@ -155,14 +155,14 @@ class TestReportDocs:
     def test_membership_doc(self):
         from logmeasure import classify_membership
 
-        doc = lio.membership_to_json(classify_membership(uniform_cdf(0.0, 1.0, 1.0)))
+        doc = classify_membership(uniform_cdf(0.0, 1.0, 1.0)).as_dict()
         assert doc["verdict"] == "MemberCertified"
         assert doc["rule"] == "Lipschitz"
 
     def test_holder_fit_doc(self):
         from logmeasure import fit_holder
 
-        doc = lio.holder_fit_to_json(fit_holder(power_law_cdf(1.0, 0.5, 1.0), 4, 16))
+        doc = fit_holder(power_law_cdf(1.0, 0.5, 1.0), 4, 16).as_dict()
         assert doc["alpha"] == pytest.approx(0.5)
 
 

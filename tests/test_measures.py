@@ -195,8 +195,6 @@ class TestArcsinProfile:
 class TestQuadratureConfig:
     def test_validation(self):
         with pytest.raises(BadParams):
-            QuadratureConfig(diagonal_mode="Nope")
-        with pytest.raises(BadParams):
             QuadratureConfig(depth_schedule=())
         with pytest.raises(BadParams):
             QuadratureConfig(agreement_tol=0.0)

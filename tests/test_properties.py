@@ -1,7 +1,7 @@
 """Randomized invariant checks (1000 cases per property, derandomized).
 
-Each property is a standalone hypothesis test; the acceptance module calls
-these functions directly, which re-runs the full search.
+Each property is a standalone hypothesis test, collected and run once by
+pytest.
 
 Planar clouds use coordinates on the dyadic lattice i/1024.  Distinct
 lattice points are at least 2**-10 apart, so the rounding of the radial
@@ -252,18 +252,6 @@ def test_pushforward_gap(cloud, h):
     out = radial_pushforward_check(P, center, h)
     scale = max(1.0, abs(out["lhs"]), abs(out["rhs"]))
     assert out["gap"] <= 1e-12 * scale
-
-
-PROPERTY_SUITES = (
-    test_cdf_monotone,
-    test_energy_nonnegative,
-    test_density_energy_nonnegative,
-    test_energy_mass_scaling,
-    test_energy_translation_invariant,
-    test_engine_brackets_overlap,
-    test_radial_inequality,
-    test_pushforward_gap,
-)
 
 
 if __name__ == "__main__":
