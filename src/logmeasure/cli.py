@@ -86,11 +86,15 @@ def _config_overrides(args) -> dict:
     return cfg
 
 
+_QUADRATURE_KEYS = ("depth_schedule", "divergence_budget", "agreement_tol")
+
+
 def _quadrature_config(args, overrides: dict) -> QuadratureConfig:
-    kwargs = {}
-    for key in ("depth_schedule", "divergence_budget", "agreement_tol"):
-        if key in overrides:
-            kwargs[key] = overrides[key]
+    unknown = sorted(set(overrides) - set(_QUADRATURE_KEYS))
+    if unknown:
+        raise BadParams(f"unknown --config key {unknown[0]!r}; "
+                        f"accepted keys: {', '.join(_QUADRATURE_KEYS)}")
+    kwargs = {k: overrides[k] for k in _QUADRATURE_KEYS if k in overrides}
     if "depth_schedule" in kwargs:
         kwargs["depth_schedule"] = tuple(int(n) for n in kwargs["depth_schedule"])
     if args.depth is not None:

@@ -3,10 +3,16 @@
 Three engines share one bracketing discipline:
 
 * ``energy_double_stieltjes`` — double Stieltjes sums over mass-uniform
-  partitions.  Off-diagonal cell pairs get rigorous kernel brackets
-  (kernel at the cells' maximal separation below, at their gap above);
-  diagonal and touching pairs are refined by mass bisection and carry a
-  documented heuristic upper at the finest refinement scale.
+  partitions.  The kernel log+ is convex and decreasing, so every cell pair
+  at lag >= 2 is bracketed to second order: Jensen at the largest centroid
+  gap below, the chord over [gap, span] at the smallest centroid gap above
+  (Edmundson-Madansky); centroids are bracketed by Riemann sums of F.  Pairs
+  near the diagonal are bracketed on a 16-fold finer nested partition, where
+  self and touching pairs get layer-cake uppers from the sampled modulus of
+  continuity.  Those uppers are as rigorous as the sampled modulus
+  (``upper_kind`` "modulus"); CDFs without a continuity certificate, or
+  whose modulus shows no decay, keep an m_i m_j ln(1/width) upper there,
+  labelled "heuristic".
 * ``energy_one_sided`` — the equivalent one-sided form
   integral over x of [ int_0^1 (F(x+y) - F(x-y))/y dy ] dF(x)
   for continuous F, with an adaptive geometric grid in y and a
@@ -19,7 +25,8 @@ Divergence is certified, never assumed: a ``Divergent`` verdict carries a
 lower bound exceeding the configured budget, an identified atom-scale mass
 concentration, or a growth certificate for the represented infinite block
 series (those two set the lower bracket to +inf).  ``Inconclusive`` is an
-explicit third verdict.
+explicit third verdict.  Every estimate records why its engine stopped
+(``stop_reason``) and how its upper endpoint was obtained (``upper_kind``).
 """
 from __future__ import annotations
 
@@ -37,6 +44,7 @@ from .errors import (
 )
 from .measures import (
     INVERSE_TOL_FLOOR,
+    LN2,
     MonotoneCDF,
     QuadratureConfig,
     StepDensity,
@@ -63,16 +71,31 @@ VERDICT_FINITE = "FiniteConverged"
 VERDICT_DIVERGENT = "Divergent"
 VERDICT_INCONCLUSIVE = "Inconclusive"
 
+# Why an engine stopped.
+STOP_AGREEMENT = "agreement"
+STOP_BUDGET = "budget"
+STOP_ATOM = "atom"
+STOP_SCHEDULE = "schedule_exhausted"
+STOP_SERIES = "series_growth"
+
+# How the upper endpoint was obtained: rigorous given the sampled modulus of
+# continuity, heuristic, or exact (closed forms).
+UPPER_MODULUS = "modulus"
+UPPER_HEURISTIC = "heuristic"
+UPPER_EXACT = "exact"
+
 # Smallest positive double: width clips so that kernel values never become
 # inf on cells whose width underflows (the atom rule preempts heavy cells).
 _TINY = 5e-324
-# Bound on mass-bisection refinement of the near-diagonal bucket.
-_MAX_NEAR_FACTOR = 64
 # Parent-cell distance up to which pairs are bracketed on the refined
 # partition instead of the coarse one (the near bucket's window).
 _NEAR_WINDOW = 32
-# Work cap for one near-bucket refinement pass, in kernel evaluations.
-_NEAR_COST_CAP = 2**28
+# Refinement factor of the near bucket's nested partition.
+_NEAR_FACTOR = 16
+# Riemann points per cell for the centroid brackets, on the coarse and on the
+# near bucket's partition (each centroid is bracketed to width / points).
+_CENTROID_POINTS = 256
+_NEAR_CENTROID_POINTS = 16
 # Cap on the one-sided engine's adaptive inner y-grid size.
 _MAX_INNER_GRID = 8192
 # Fraction of total mass below which a resolution-floor-width cell is not
@@ -86,6 +109,8 @@ class EnergyEstimate:
 
     trace holds (partition size, lower sum, upper sum) triples; lower sums
     are nondecreasing along the trace because partitions are nested.
+    stop_reason is one of the STOP_* names and upper_kind one of the UPPER_*
+    names; both are deterministic, so reports stay byte-identical.
     """
 
     value: float
@@ -93,6 +118,8 @@ class EnergyEstimate:
     upper: float
     verdict: str
     trace: tuple
+    stop_reason: str
+    upper_kind: str
 
     def as_dict(self) -> dict:
         return {
@@ -100,6 +127,8 @@ class EnergyEstimate:
             "lower": self.lower,
             "upper": self.upper,
             "verdict": self.verdict,
+            "stop_reason": self.stop_reason,
+            "upper_kind": self.upper_kind,
             "trace": [list(t) for t in self.trace],
         }
 
@@ -134,23 +163,64 @@ def holder_energy_bound(K: float, alpha: float, mass: float) -> float:
 # Double-Stieltjes engine
 
 
-def _bracket_sums(bounds: np.ndarray, masses: np.ndarray, lag_lo: int, lag_hi: int, keep=None):
+def _centroid_brackets(F: MonotoneCDF, bounds: np.ndarray, fvals: np.ndarray, R: int):
+    """Brackets [c_lo, c_hi] of every cell's centroid, from F alone.
+
+    Integration by parts gives the centroid of cell i as
+    b_{i+1} - (1/m_i) int_{b_i}^{b_{i+1}} (F(x) - F_i) dx.  F is
+    nondecreasing, so the left and right R-point Riemann sums of that
+    integral differ by w_i m_i / R and enclose it: the centroid is bracketed
+    to within w_i / R at the cost of R - 1 evaluator calls per cell.  Both
+    ends are clamped into the cell; massless cells get the whole cell.
+    """
+    n = bounds.size - 1
+    widths = np.diff(bounds)
+    masses = np.diff(fvals)
+    t = np.arange(1, R, dtype=float) / R
+    inner = np.empty(n)
+    # chunked so the (cells x points) grid stays near 2^20 evaluations
+    step = max(1, 2**20 // R)
+    for a in range(0, n, step):
+        b = min(n, a + step)
+        grid = bounds[a:b, None] + widths[a:b, None] * t[None, :]
+        vals = eval_cdf(F, grid.ravel()).reshape(grid.shape)
+        vals = np.clip(vals, fvals[a:b, None], fvals[a + 1 : b + 1, None])
+        inner[a:b] = np.sum(vals - fvals[a:b, None], axis=1)
+    safe = masses > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c_hi = np.where(safe, bounds[1:] - widths * inner / (R * masses), bounds[1:])
+    c_lo = np.where(safe, c_hi - widths / R, bounds[:-1])
+    return np.clip(c_lo, bounds[:-1], bounds[1:]), np.clip(c_hi, bounds[:-1], bounds[1:])
+
+
+def _bracket_sums(bounds, masses, cents, lag_lo: int, lag_hi: int, keep=None):
     """Lower/upper kernel sums over cell pairs (i, i+L) for L in [lag_lo, lag_hi).
 
-    Lower terms use the maximal separation bounds[i+L+1] - bounds[i]; upper
-    terms use the gap bounds[i+L] - bounds[i+1], clipped away from zero so
-    zero-width interior cells cannot produce inf (the atom rule preempts any
-    heavy concentration).  Touching pairs (L = 1) have no gap; their upper
-    uses the wider cell's width instead.  The gap array at lag L equals an
-    interior slice of the span array at lag L-2, so each kernel (log) pass
-    is computed once and reused two lags later.  Once every gap is beyond
-    kernel range the loop stops: gaps grow with the lag and spans are at
-    least as wide, so all remaining terms are exactly 0.
+    The kernel k = log+ is convex and decreasing.  With [d-, d+] the bracket
+    of the pair's centroid gap (from the centroid brackets ``cents``), g its
+    gap and s its span:
+
+    * lower: Jensen, m_i m_j k(min(d+, s));
+    * upper at lag >= 2: the chord of k over [g, s] at max(d-, g)
+      (Edmundson-Madansky), m_i m_j [k(g) + (k(s) - k(g)) (d - g)/(s - g)];
+    * upper at lag 1 (touching cells, no gap): m_i m_j k(wider width),
+      raised to the lower where that is larger - a heuristic that the near
+      bucket replaces when a modulus bound exists.
+
+    Gaps and spans are clipped away from zero so zero-width interior cells
+    cannot produce inf (the atom rule preempts any heavy concentration).
+    The gap at lag L is an interior slice of the span at lag L-2, so each
+    span kernel (log) pass is reused two lags later.  Once every gap is
+    beyond kernel range the loop stops: gaps grow with the lag, and spans and
+    clamped centroid gaps are at least as wide, so all remaining terms are 0.
 
     keep(L), when given, returns the indices i of the pairs (i, i+L) to
     count at lag L, or None to count all of them.  Returns ordered per-lag
     partial sums (factor 2 for the two orderings of each pair included).
+    The dot products use np.einsum, which never calls BLAS, so the sums do
+    not depend on the BLAS thread count.
     """
+    c_lo, c_hi = cents
     lows, ups = [], []
     n = masses.size
     cache = {}
@@ -159,11 +229,9 @@ def _bracket_sums(bounds: np.ndarray, masses: np.ndarray, lag_lo: int, lag_hi: i
         ks = _kern(np.maximum(span, _TINY))
         cache[L] = ks
         kg = cache.pop(L - 2, None)
-        if kg is not None:
-            kg = kg[1 : n - L + 1]
-        elif L >= 2:
+        if L >= 2:
             gap = bounds[L:n] - bounds[1 : n - L + 1]
-            kg = _kern(np.maximum(gap, _TINY))
+            kg = _kern(np.maximum(gap, _TINY)) if kg is None else kg[1 : n - L + 1]
         else:
             wc = np.maximum(np.diff(bounds), _TINY)
             kg = _kern(np.maximum(wc[: n - 1], wc[1:]))
@@ -171,90 +239,176 @@ def _bracket_sums(bounds: np.ndarray, masses: np.ndarray, lag_lo: int, lag_hi: i
         if L >= 2 and kg[0] <= 0.0 and float(np.max(kg)) <= 0.0:
             break
         mm = masses[: n - L] * masses[L:]
+        d_hi = c_hi[L:] - c_lo[: n - L]
+        d_lo = c_lo[L:] - c_hi[: n - L]
         idx = keep(L) if keep is not None else None
         if idx is not None:
-            mm, ks, kg = mm[idx], ks[idx], kg[idx]
-        lows.append(2.0 * float(np.dot(mm, ks)))
-        ups.append(2.0 * float(np.dot(mm, kg)))
+            mm, span, ks, kg, d_hi, d_lo = mm[idx], span[idx], ks[idx], kg[idx], d_hi[idx], d_lo[idx]
+            if L >= 2:
+                gap = gap[idx]
+        low = _kern(np.maximum(np.minimum(d_hi, span), _TINY))
+        if L >= 2:
+            frac = (np.maximum(d_lo, gap) - gap) / np.maximum(span - gap, _TINY)
+            up = kg + (ks - kg) * np.minimum(frac, 1.0)
+        else:
+            up = np.maximum(kg, low)
+        lows.append(2.0 * float(np.einsum("i,i->", mm, low)))
+        ups.append(2.0 * float(np.einsum("i,i->", mm, up)))
     return lows, ups
 
 
-def _near_bracket(F, n: int, cfg, atom_floor: float, off_lo: float, off_up: float):
+def _modulus_octaves(F: MonotoneCDF, j0: int, count: int):
+    """Sampled modulus w(2^-k) = sup_x F(x + 2^-k) - F(x) for k = j0 ..
+    j0+count-1, with the per-octave decay ratio of its geometric tail.
+
+    The tail below the table is extrapolated from the decay over its last
+    seven octaves: ratio 0 when the modulus reads 0 there (nothing left),
+    +inf when it does not decay by at least 0.7 (no continuity to exploit).
+    """
+    ys = 2.0 ** -np.arange(j0, j0 + count, dtype=float)
+    mods = np.asarray(sampled_modulus(F, ys), dtype=float)
+    last = float(mods[-1])
+    prev = float(mods[-8]) if mods.size >= 8 else float(mods[0])
+    if last <= 0.0:
+        return mods, 0.0
+    if prev <= 0.0 or last >= 0.7 * prev:
+        return mods, math.inf
+    return mods, (last / prev) ** (1.0 / 7.0)
+
+
+class _BallMass:
+    """Upper bounds for J(m, U) = int_0^U min(m, w(u))/u du, w the sampled
+    modulus, from octave sums: each octave [2^-k-1, 2^-k] contributes at most
+    min(m, w(2^-k)) ln 2, the partial octave above the largest dyadic
+    2^-j <= U at most m ln(U 2^j).  The table covers 2 >= u >= 2^-40; below
+    it w decays geometrically at the table's last rate.
+    """
+
+    K0 = -1
+    COUNT = 42
+
+    def __init__(self, mods: np.ndarray, ratio: float):
+        # a suffix maximum keeps the table nonincreasing in k, so that
+        # min(m, w_k) switches from m to w_k exactly once
+        self.mods = np.maximum.accumulate(mods[::-1])[::-1]
+        self.ratio = ratio
+        tail = self.mods[-1] * ratio / (1.0 - ratio)
+        # suffix[p]: sum of the table from position p on, plus the tail
+        self.suffix = np.concatenate((np.cumsum(self.mods[::-1])[::-1], [0.0])) + tail
+
+    @classmethod
+    def of(cls, F: MonotoneCDF):
+        """The bound for a continuity-certified F, or None where the sampled
+        modulus gives none (no certificate, or no decay at small scales)."""
+        if not F.continuous:
+            return None
+        mods, ratio = _modulus_octaves(F, cls.K0, cls.COUNT)
+        return cls(mods, ratio) if math.isfinite(ratio) else None
+
+    def _sum_from(self, a: np.ndarray) -> np.ndarray:
+        """sum of w_k over table-or-extrapolated positions >= a."""
+        size = self.mods.size
+        inside = self.suffix[np.minimum(a, size).astype(np.int64)]
+        with np.errstate(under="ignore"):
+            beyond = self.mods[-1] * self.ratio ** np.maximum(a - size + 1.0, 1.0) / (1.0 - self.ratio)
+        return np.where(a <= size, inside, beyond)
+
+    def integral(self, m: np.ndarray, U: np.ndarray) -> np.ndarray:
+        m = np.maximum(m, _TINY)
+        U = np.clip(U, _TINY, 2.0)
+        j = np.ceil(-np.log2(U))
+        top = m * np.maximum(np.log(U) + j * LN2, 0.0)
+        # first position where the modulus drops to m; past the table it
+        # follows from the geometric tail
+        size = self.mods.size
+        star = np.searchsorted(-self.mods, -m, side="left").astype(float)
+        past = star >= size
+        if np.any(past):
+            with np.errstate(divide="ignore"):
+                extra = np.ceil(np.log(m / self.mods[-1]) / math.log(self.ratio))
+            star = np.where(past, size - 1.0 + np.maximum(extra, 1.0), star)
+        pos = j - self.K0
+        a = np.maximum(pos, star)
+        return top + LN2 * (m * np.maximum(star - pos, 0.0) + self._sum_from(a))
+
+
+def _diag_uppers(bounds: np.ndarray, masses: np.ndarray, ball: _BallMass):
+    """Layer-cake uppers of the self pairs and of the touching pairs.
+
+    For x in cell i, int k(|x-y|) dmu_j(y) = int_0^1 mu_j(B(x, r))/r dr, and
+    the ball mass is at most min(m_j, w(diameter)) below the largest
+    distance D and m_j above it:
+    self (D = w): m (m k(w) + J(m, 2 min(w, 1)));
+    touching (D = w_i + w_j): m_i (m_j k(D) + J(m_j, min(D, 1))), summed here
+    over both orderings.  Returns (per-cell self uppers, per-pair touching
+    uppers).
+    """
+    widths = np.maximum(np.diff(bounds), _TINY)
+    self_up = masses * (masses * _kern(widths) + ball.integral(masses, 2.0 * np.minimum(widths, 1.0)))
+    D = widths[:-1] + widths[1:]
+    kD = _kern(D)
+    mi, mj = masses[:-1], masses[1:]
+    Dc = np.minimum(D, 1.0)
+    touch_up = mi * (mj * kD + ball.integral(mj, Dc)) + mj * (mi * kD + ball.integral(mi, Dc))
+    return self_up, touch_up
+
+
+def _near_bracket(F, n: int, atom_floor: float, ball):
     """Bracket all pairs within _NEAR_WINDOW parent cells of the diagonal.
 
-    The near bucket is evaluated on a factor-s finer nested partition,
-    restricted to fine pairs whose parent cells are at most _NEAR_WINDOW
-    apart (the coarse off-diagonal sums start just beyond that window, so
-    every pair is counted exactly once).  Within the bucket, fine pairs at
-    lag >= 2 get rigorous gap/span kernel brackets; diagonal and touching
-    fine pairs are bounded above by the documented heuristic
-    mass_i*mass_j*ln(1/width) and refined (s doubling) until that residue
-    drops below agreement_tol * (current lower + 1) and the bucket's
-    bracket width stops limiting the round, or a work cap is reached.
+    The near bucket is evaluated on the nested partition _NEAR_FACTOR times
+    finer, restricted to fine pairs whose parent cells are at most
+    _NEAR_WINDOW apart (the coarse off-diagonal sums start just beyond that
+    window, so every pair is counted exactly once).  Fine pairs at lag >= 2
+    get the second-order brackets of _bracket_sums.  Self and touching pairs
+    get the lower k(width) and Jensen respectively, and the layer-cake uppers
+    of _diag_uppers when ``ball`` holds a modulus bound; without one the
+    self upper is m^2 k(w) and the touching upper m_i m_j k(wider width),
+    both heuristic.
 
     For CDFs without a continuity certificate, a resolution-floor-width
     cell still carrying non-negligible mass certifies an atom: jump CDFs
     are flagged Divergent here (lower = +inf).  Continuity-certified CDFs
     never take that route - a width-floor cell then only reflects resolution
-    exhaustion and feeds the heuristic upper instead.
+    exhaustion.
 
     Returns (near_lower, near_upper, atom_hit).
     """
-    mass_floor = _ATOM_MASS_FRACTION * F.total_mass
-    W = _NEAR_WINDOW
-    s = 1
-    near_lo, near_up = 0.0, math.inf
-    while True:
-        bounds, fvals = _partition_arrays(F, n * s)
-        widths = np.diff(bounds)
-        masses = np.diff(fvals)
-        if not F.continuous:
-            # r consecutive width-floor cells mean r+1 mass-uniform quantile
-            # targets share one point, certifying an atom of mass at least
-            # r * total/(n*s) there (the realized cell masses are 0 - a jump's
-            # mass lands in the first cell past it, so runs are the signature)
-            collapsed = widths <= atom_floor
-            if bool(np.any(collapsed)):
-                pad = np.concatenate(([0], collapsed.view(np.int8), [0]))
-                steps = np.diff(pad)
-                runs = np.flatnonzero(steps == -1) - np.flatnonzero(steps == 1)
-                if float(np.max(runs)) * F.total_mass / (n * s) >= mass_floor:
-                    return math.inf, math.inf, True
-        m = masses.size
-        diag = float(np.dot(masses * masses, _kern(np.maximum(widths, _TINY))))
-        parent = np.arange(m, dtype=np.int64) // s
+    W, s = _NEAR_WINDOW, _NEAR_FACTOR
+    bounds, fvals = _partition_arrays(F, n * s)
+    widths = np.diff(bounds)
+    masses = np.diff(fvals)
+    if not F.continuous:
+        # r consecutive width-floor cells mean r+1 mass-uniform quantile
+        # targets share one point, certifying an atom of mass at least
+        # r * total/(n*s) there (the realized cell masses are 0 - a jump's
+        # mass lands in the first cell past it, so runs are the signature)
+        collapsed = widths <= atom_floor
+        if bool(np.any(collapsed)):
+            pad = np.concatenate(([0], collapsed.view(np.int8), [0]))
+            steps = np.diff(pad)
+            runs = np.flatnonzero(steps == -1) - np.flatnonzero(steps == 1)
+            if float(np.max(runs)) * F.total_mass / (n * s) >= _ATOM_MASS_FRACTION * F.total_mass:
+                return math.inf, math.inf, True
+    m = masses.size
+    parent = np.arange(m, dtype=np.int64) // s
 
-        def keep(L):
-            # partial lags: only pairs whose parent distance is within the
-            # window (other lags are entirely inside it)
-            if L > (W - 1) * s and L != W * s:
-                return np.nonzero(parent[L:] - parent[: m - L] <= W)[0]
-            return None
+    def keep(L):
+        # partial lags: only pairs whose parent distance is within the
+        # window (other lags are entirely inside it)
+        if L > (W - 1) * s and L != W * s:
+            return np.nonzero(parent[L:] - parent[: m - L] <= W)[0]
+        return None
 
-        lows, ups = _bracket_sums(bounds, masses, 1, (W + 1) * s, keep)
-        # heuristic part of the upper: diagonal and touching (lag-1) pairs
-        heur = diag + sum(ups[:1])
-        near_lo = math.fsum([diag] + lows)
-        near_up = math.fsum([diag] + ups)
-        lower_est = off_lo + near_lo
-        width_target = max(
-            0.25 * (off_up - off_lo),
-            0.375 * cfg.agreement_tol * max(1.0, lower_est),
-        )
-        if (
-            heur <= cfg.agreement_tol * (lower_est + 1.0)
-            and near_up - near_lo <= width_target
-        ):
-            break
-        s2 = 2 * s
-        if (
-            s2 > _MAX_NEAR_FACTOR
-            or n * s2 > 2**20
-            or (W + 1) * s2 * s2 * n > _NEAR_COST_CAP
-        ):
-            break
-        s = s2
-    return near_lo, near_up, False
+    cents = _centroid_brackets(F, bounds, fvals, _NEAR_CENTROID_POINTS)
+    lows, ups = _bracket_sums(bounds, masses, cents, 1, (W + 1) * s, keep)
+    diag_lo = float(np.sum(masses * masses * _kern(np.maximum(widths, _TINY))))
+    diag_up = diag_lo
+    if ball is not None:
+        self_up, touch_up = _diag_uppers(bounds, masses, ball)
+        diag_up = float(np.sum(self_up))
+        ups[0] = float(np.sum(touch_up))
+    return math.fsum([diag_lo] + lows), math.fsum([diag_up] + ups), False
 
 
 def energy_double_stieltjes(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureConfig()) -> EnergyEstimate:
@@ -263,18 +417,26 @@ def energy_double_stieltjes(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureCo
         raise ZeroMass("energy of the zero measure requires positive mass")
     span = F.support_hi - F.support_lo
     atom_floor = 64.0 * max(span * 2.0**-52, INVERSE_TOL_FLOOR)
+    ball = _BallMass.of(F)
+    kind = UPPER_MODULUS if ball is not None else UPPER_HEURISTIC
     trace = []
     lower = 0.0
     upper = math.inf
+
+    def done(value, lo, up, verdict, reason):
+        return EnergyEstimate(value, lo, up, verdict, tuple(trace), reason, kind)
+
     for n in cfg.depth_schedule:
-        bounds, fvals = _partition_arrays(F, n)
-        masses = np.diff(fvals)
-        lows, ups = _bracket_sums(bounds, masses, _NEAR_WINDOW + 1, masses.size)
-        off_lo, off_up = math.fsum(lows), math.fsum(ups)
-        near_lo, near_up, atom_hit = _near_bracket(F, n, cfg, atom_floor, off_lo, off_up)
+        off_lo = off_up = 0.0
+        if n > _NEAR_WINDOW + 1:
+            bounds, fvals = _partition_arrays(F, n)
+            cents = _centroid_brackets(F, bounds, fvals, _CENTROID_POINTS)
+            lows, ups = _bracket_sums(bounds, np.diff(fvals), cents, _NEAR_WINDOW + 1, n)
+            off_lo, off_up = math.fsum(lows), math.fsum(ups)
+        near_lo, near_up, atom_hit = _near_bracket(F, n, atom_floor, ball)
         if atom_hit:
             trace.append((n, math.inf, math.inf))
-            return EnergyEstimate(math.inf, math.inf, math.inf, VERDICT_DIVERGENT, tuple(trace))
+            return done(math.inf, math.inf, math.inf, VERDICT_DIVERGENT, STOP_ATOM)
         # every round's sum is a valid lower bound of the same integral, so
         # the running maximum is one too and keeps the trace monotone even
         # when pairs migrate between the fine and coarse treatments
@@ -282,12 +444,11 @@ def energy_double_stieltjes(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureCo
         upper = max(off_up + near_up, lower)
         trace.append((n, lower, upper))
         if lower > cfg.divergence_budget:
-            return EnergyEstimate(lower, lower, math.inf, VERDICT_DIVERGENT, tuple(trace))
+            return done(lower, lower, math.inf, VERDICT_DIVERGENT, STOP_BUDGET)
         if upper - lower <= cfg.agreement_tol * max(1.0, lower):
-            value = 0.5 * (lower + upper)
-            return EnergyEstimate(value, lower, upper, VERDICT_FINITE, tuple(trace))
+            return done(0.5 * (lower + upper), lower, upper, VERDICT_FINITE, STOP_AGREEMENT)
     value = 0.5 * (lower + upper) if math.isfinite(upper) else lower
-    return EnergyEstimate(value, lower, upper, VERDICT_INCONCLUSIVE, tuple(trace))
+    return done(value, lower, upper, VERDICT_INCONCLUSIVE, STOP_SCHEDULE)
 
 
 # ----------------------------------------------------------------------
@@ -298,26 +459,19 @@ def _modulus_tail_bound(F: MonotoneCDF, y_top: float) -> float:
     """Upper bound for int_0^{y_top} (F(x+y) - F(x-y))/y dy, uniform in x.
 
     Octave sums: the integral is at most sum over dyadic y <= y_top of
-    (sampled two-sided modulus at y) * ln 2.  The sampled modulus is summed
-    down to the scale where it stops decreasing reliably, then the remaining
-    tail is bounded by geometric extrapolation of the last decay ratio; if
-    the modulus shows no decay the bound is +inf (no continuity to exploit).
+    (sampled two-sided modulus at y) * ln 2, the two-sided modulus being at
+    most twice the one-sided one.  The 24 sampled octaves are followed by the
+    geometric tail of _modulus_octaves; without decay the bound is +inf.
     """
     if y_top <= 0.0:
         return 0.0
     j = max(0, int(math.floor(-math.log2(y_top))))
-    ys = [2.0 ** (-k) for k in range(j, j + 24)]
-    mods = 2.0 * np.asarray(sampled_modulus(F, np.array(ys)), dtype=float)
-    total = float(np.sum(mods)) * math.log(2.0)
-    last = float(mods[-1])
-    prev = float(mods[-8]) if mods.size >= 8 else float(mods[0])
-    if last <= 0.0:
-        return total
-    if prev <= 0.0 or last >= 0.7 * prev:
+    mods, ratio = _modulus_octaves(F, j, 24)
+    if not math.isfinite(ratio):
         return math.inf
-    ratio = (last / prev) ** (1.0 / 7.0)
-    tail = last * ratio / (1.0 - ratio) * math.log(2.0)
-    return total + tail
+    total = float(np.sum(mods)) * LN2
+    tail = float(mods[-1]) * ratio / (1.0 - ratio) * LN2
+    return 2.0 * (total + tail)
 
 
 def energy_one_sided(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureConfig()) -> EnergyEstimate:
@@ -331,6 +485,8 @@ def energy_one_sided(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureConfig())
     midpoint rule is the documented heuristic part of this engine's
     bracket, so the verdict additionally requires the outer value to have
     drifted by at most half a tolerance over two consecutive refinements.
+    Only depth_schedule entries in [2^8, 2^13] are used as outer partition
+    sizes; a schedule with none raises BadParams.
     """
     if not F.continuous:
         raise DiscontinuousInput(
@@ -338,6 +494,12 @@ def energy_one_sided(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureConfig())
         )
     if F.total_mass <= 0.0:
         raise ZeroMass("energy of the zero measure requires positive mass")
+    outer_schedule = [n for n in cfg.depth_schedule if 2**8 <= n <= 2**13]
+    if not outer_schedule:
+        raise BadParams(
+            "the one-sided engine's outer partition needs a depth_schedule entry "
+            f"in [2^8, 2^13], got {tuple(cfg.depth_schedule)}"
+        )
     M = F.total_mass
     y_min = 2.0**-52
     tail_up = _modulus_tail_bound(F, y_min)
@@ -349,7 +511,6 @@ def energy_one_sided(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureConfig())
     value = 0.0
     # the adaptive geometric y-grid persists across outer refinements
     ys = np.sort(2.0 ** (-np.arange(53, dtype=float)))  # 2^-52 .. 1, doubling
-    outer_schedule = [n for n in cfg.depth_schedule if 2**8 <= n <= 2**13]
     for n in outer_schedule:
         targets = M * (np.arange(n) + 0.5) / n
         xs = _ginv_array(F, targets)
@@ -380,7 +541,8 @@ def energy_one_sided(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureConfig())
         value = 0.5 * (lower + upper) if math.isfinite(upper) else lower
         trace.append((n, lower, upper))
         if lower > cfg.divergence_budget:
-            return EnergyEstimate(lower, lower, math.inf, VERDICT_DIVERGENT, tuple(trace))
+            return EnergyEstimate(lower, lower, math.inf, VERDICT_DIVERGENT, tuple(trace),
+                                  STOP_BUDGET, UPPER_HEURISTIC)
         if prev_value is not None and abs(value - prev_value) <= 0.5 * cfg.agreement_tol * max(1.0, abs(value)):
             ok_streak += 1
         else:
@@ -390,9 +552,11 @@ def energy_one_sided(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureConfig())
             and upper - lower <= cfg.agreement_tol * max(1.0, lower)
             and ok_streak >= 2
         ):
-            return EnergyEstimate(value, lower, upper, VERDICT_FINITE, tuple(trace))
+            return EnergyEstimate(value, lower, upper, VERDICT_FINITE, tuple(trace),
+                                  STOP_AGREEMENT, UPPER_HEURISTIC)
         prev_value = value
-    return EnergyEstimate(value, lower, upper, VERDICT_INCONCLUSIVE, tuple(trace))
+    return EnergyEstimate(value, lower, upper, VERDICT_INCONCLUSIVE, tuple(trace),
+                          STOP_SCHEDULE, UPPER_HEURISTIC)
 
 
 def _one_sided_sums(F, xs, w, ys, dln):
@@ -568,7 +732,7 @@ def energy_density(f: StepDensity, cfg: QuadratureConfig = QuadratureConfig()) -
     series = step_lower_bound(f)
     trace = ((f.n_max, total, total),)
     if total > cfg.divergence_budget:
-        return EnergyEstimate(total, total, math.inf, VERDICT_DIVERGENT, trace)
+        return EnergyEstimate(total, total, math.inf, VERDICT_DIVERGENT, trace, STOP_BUDGET, UPPER_EXACT)
     if series["diverging"]:
-        return EnergyEstimate(math.inf, math.inf, math.inf, VERDICT_DIVERGENT, trace)
-    return EnergyEstimate(total, total, total, VERDICT_FINITE, trace)
+        return EnergyEstimate(math.inf, math.inf, math.inf, VERDICT_DIVERGENT, trace, STOP_SERIES, UPPER_EXACT)
+    return EnergyEstimate(total, total, total, VERDICT_FINITE, trace, STOP_AGREEMENT, UPPER_EXACT)

@@ -29,6 +29,10 @@ from .errors import (
     ZeroMass,
 )
 from .energy import (
+    STOP_AGREEMENT,
+    STOP_ATOM,
+    STOP_SCHEDULE,
+    UPPER_HEURISTIC,
     EnergyEstimate,
     VERDICT_DIVERGENT,
     VERDICT_FINITE,
@@ -420,21 +424,22 @@ def energy_planar(P: PlanarMeasure) -> EnergyEstimate:
         trace.append((Q.n_atoms, lower, upper))
         if math.isinf(lower):
             return EnergyEstimate(math.inf, math.inf, math.inf,
-                                  VERDICT_DIVERGENT, tuple(trace))
+                                  VERDICT_DIVERGENT, tuple(trace), STOP_ATOM, UPPER_HEURISTIC)
         if prev is not None:
             drift = abs(lower - prev)
         prev = lower
     scale = max(1.0, abs(lower))
     if drift <= 0.5 * FAMILY_TOL * scale and sur <= 0.5 * FAMILY_TOL * scale:
         return EnergyEstimate(lower + 0.5 * sur, lower, upper,
-                              VERDICT_FINITE, tuple(trace))
+                              VERDICT_FINITE, tuple(trace), STOP_AGREEMENT, UPPER_HEURISTIC)
     if kind == PROV_DIRAC:
         # A provenance-level point mass never diffuses under refinement and
         # a point mass has infinite energy.
         return EnergyEstimate(math.inf, lower, math.inf,
-                              VERDICT_DIVERGENT, tuple(trace))
+                              VERDICT_DIVERGENT, tuple(trace), STOP_ATOM, UPPER_HEURISTIC)
     value = lower + 0.5 * sur if math.isfinite(upper) else lower
-    return EnergyEstimate(value, lower, upper, VERDICT_INCONCLUSIVE, tuple(trace))
+    return EnergyEstimate(value, lower, upper, VERDICT_INCONCLUSIVE, tuple(trace),
+                          STOP_SCHEDULE, UPPER_HEURISTIC)
 
 
 def _radial_distances(P: PlanarMeasure, x0) -> np.ndarray:

@@ -112,6 +112,44 @@ def cantor_modulus_oracle(y: float, n: int = 40, grid: int = 3000) -> float:
     return best
 
 
+def cantor_energy_oracle(K: float = 3.0, depth: int = 30, terms: int = 60) -> float:
+    """Energy of the level-`depth` middle-(K-2)/K Cantor measure, K > 2.
+
+    Self-similarity: with c = 1/K, a = 1 - c and mu_k the measure built from
+    levels k .. depth (mu_depth is uniform on [0,1], energy 3/2),
+        mu_k = (S_L mu_{k+1} + S_R mu_{k+1}) / 2,  S_L x = c x,
+        S_R x = a + c x,
+    so E_k = (ln(1/c) + E_{k+1})/2 + X_k/2 with
+        X_k = E[-ln(a + c Z)] = -ln a + sum_{i>=1} q^(2i) E[Z^(2i)] / (2i),
+    Z = y - x for x, y independent under mu_{k+1} and q = c/a < 1 (Z is
+    symmetric, so its odd moments vanish).  The moments of u = x - 1/2
+    follow from u = c u' +- a/2:
+        E[u^(2i)] = sum_l C(2i, 2l) c^(2l) E[u'^(2l)] (a/2)^(2i-2l),
+    starting from the uniform E[u^(2l)] = 2^(-2l)/(2l+1), and
+        E[Z^(2i)] = sum_l C(2i, 2l) E[u^(2l)] E[u^(2i-2l)].
+    Every sum has positive terms only, so nothing cancels.  |Z| <= 1 bounds
+    the series tail by q^(2 terms + 2) / ((2 terms + 2)(1 - q^2)).
+    """
+    c = 1.0 / K
+    a = 1.0 - c
+    q = c / a
+    moms = [0.25**i / (2 * i + 1) for i in range(terms + 1)]  # uniform level
+    energy = 1.5
+    for _ in range(depth):
+        z_moms = [
+            math.fsum(math.comb(2 * i, 2 * l) * moms[l] * moms[i - l] for l in range(i + 1))
+            for i in range(terms + 1)
+        ]
+        x = -math.log(a) + math.fsum(q ** (2 * i) * z_moms[i] / (2 * i) for i in range(1, terms + 1))
+        energy = 0.5 * (math.log(K) + energy) + 0.5 * x
+        moms = [
+            math.fsum(math.comb(2 * i, 2 * l) * c ** (2 * l) * moms[l] * (0.5 * a) ** (2 * i - 2 * l)
+                      for l in range(i + 1))
+            for i in range(terms + 1)
+        ]
+    return energy
+
+
 # ----------------------------------------------------------------------
 # Circle measure facts.
 
@@ -250,6 +288,7 @@ if __name__ == "__main__":
     print("cantor gamma_2(1/9):", cantor_gamma_oracle(1.0 / 9.0, 2))
     print("cantor gamma_40(1/3):", cantor_gamma_oracle(1.0 / 3.0, 40))
     print("cantor modulus y=1/9:", cantor_modulus_oracle(1.0 / 9.0))
+    print("cantor energy K=3, 4:", cantor_energy_oracle(3.0), cantor_energy_oracle(4.0))
     print("circle r^2 moment about (1,0):", circle_r2_moment_oracle(100))
     print("circle energy limit (Clausen):", circle_energy_limit_oracle())
     print("circle energy brute n=1024:", circle_energy_bruteforce_oracle(1024))

@@ -25,7 +25,9 @@ class TestEnergyCommand:
         assert "verdict=FiniteConverged" in r.stdout
         doc = json.loads((tmp_path / "energy.json").read_text())
         assert doc["engine"] == "double"
-        assert abs(doc["estimate"]["value"] - 1.4999439046818674) < 1e-12
+        assert abs(doc["estimate"]["value"] - 1.500122566388095) < 1e-12
+        assert doc["estimate"]["stop_reason"] == "agreement"
+        assert doc["estimate"]["upper_kind"] == "modulus"
         trace = (tmp_path / "trace.csv").read_text().splitlines()
         assert trace[0] == "n,lower,upper"
         assert len(trace) >= 3
@@ -75,6 +77,23 @@ class TestEnergyCommand:
         bad.write_text("{not json")
         r = run_cli("energy", "--measure", bad, "--out-dir", tmp_path)
         assert r.returncode == 1
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        # a misspelt agreement_tol used to run silently with the default
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"agreement_tolerance": 0.5}))
+        out = tmp_path / "out"
+        r = run_cli("energy", "--measure", CORPUS / "uniform.json",
+                    "--config", cfg, "--out-dir", out)
+        assert r.returncode == 1
+        assert "agreement_tolerance" in r.stderr
+        assert not out.exists()
+
+    def test_one_sided_schedule_outside_outer_range(self, tmp_path):
+        r = run_cli("energy", "--measure", CORPUS / "uniform.json",
+                    "--engine", "one-sided", "--depth", 7, "--out-dir", tmp_path)
+        assert r.returncode == 1
+        assert "BadParams" in r.stderr
 
     def test_depth_and_tol_flags(self, tmp_path):
         r = run_cli("energy", "--measure", CORPUS / "uniform.json",

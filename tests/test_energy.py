@@ -1,10 +1,14 @@
 """Energy engines: two-sided, one-sided, and closed-form density forms."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from logmeasure import (
+    BadParams,
     Block,
     DiscontinuousInput,
     NonpositiveDistance,
@@ -12,6 +16,7 @@ from logmeasure import (
     StepDensity,
     VERDICT_DIVERGENT,
     VERDICT_FINITE,
+    VERDICT_INCONCLUSIVE,
     cantor_cdf,
     energy_density,
     energy_double_stieltjes,
@@ -19,16 +24,24 @@ from logmeasure import (
     holder_energy_bound,
     l1_divergent_blocks,
     logplus_kernel,
+    power_law_cdf,
     scale_cdf,
     standard_cantor_spec,
     table_cdf,
     translate_cdf,
     uniform_cdf,
 )
-from logmeasure.energy import _bracket_sums
-from logmeasure.measures import _partition_arrays
+from logmeasure.energy import (
+    _BallMass,
+    _bracket_sums,
+    _centroid_brackets,
+    _diag_uppers,
+    _trapezoid_log_integral,
+)
+from logmeasure.measures import KIND_PIECEWISE_LINEAR, MonotoneCDF, _partition_arrays
 from oracles import (
     block_energy_oracle,
+    cantor_energy_oracle,
     one_sided_uniform_identity,
     staircase_term_oracle,
     uniform_energy_oracle,
@@ -70,10 +83,10 @@ class TestUniformEnergy:
     def test_double_engine_frozen(self):
         est = energy_double_stieltjes(uniform_cdf(0.0, 1.0, 1.0))
         assert est.verdict == VERDICT_FINITE
-        assert est.value == pytest.approx(1.4999439046818674, rel=1e-12)
-        assert est.lower == pytest.approx(1.4993703429294105, rel=1e-12)
-        assert est.upper == pytest.approx(1.5005174664343244, rel=1e-12)
-        assert est.lower <= est.value <= est.upper
+        assert est.value == pytest.approx(1.500122566388095, rel=1e-12)
+        assert est.lower == pytest.approx(1.4996377962391378, rel=1e-12)
+        assert est.upper == pytest.approx(1.5006073365370522, rel=1e-12)
+        assert est.lower <= 1.5 <= est.upper
 
     def test_double_engine_vs_oracles(self):
         est = energy_double_stieltjes(uniform_cdf(0.0, 1.0, 1.0))
@@ -101,6 +114,7 @@ class TestUniformEnergy:
         est = energy_double_stieltjes(uniform_cdf(0.0, 1.0, 1.0))
         d = est.as_dict()
         assert d["verdict"] == VERDICT_FINITE
+        assert (d["stop_reason"], d["upper_kind"]) == ("agreement", "modulus")
         assert isinstance(d["trace"], list)
 
 
@@ -109,6 +123,19 @@ class TestOneSidedPrecondition:
         F = table_cdf([0.0, 0.5, 1.0], [0.2, 0.7, 1.0])
         with pytest.raises(DiscontinuousInput):
             energy_one_sided(F)
+
+    @pytest.mark.parametrize("schedule", [(16,), (16, 32, 64), (16384,)])
+    def test_schedule_outside_outer_range_rejected(self, schedule):
+        # the outer partition sizes are taken from [2^8, 2^13] only; a
+        # schedule with none of them used to return [0, inf] silently
+        with pytest.raises(BadParams):
+            energy_one_sided(uniform_cdf(), QuadratureConfig(depth_schedule=schedule))
+
+    def test_single_level_brackets_power_half(self):
+        est = energy_one_sided(power_law_cdf(1.0, 0.5, 1.0), QuadratureConfig(depth_schedule=(256,)))
+        assert len(est.trace) == 1 and est.trace[0][0] == 256
+        assert est.lower <= 3.0 - 2.0 * LN2 <= est.upper
+        assert est.upper - est.lower <= 1e-2
 
 
 class TestTransformsOfEnergy:
@@ -175,16 +202,19 @@ class TestCheapConfig:
         assert est.lower <= 1.5 <= est.upper
 
 
-def _brute_bracket(bounds, masses, lag_lo, lag_hi, s=1, window=None):
+def _brute_bracket(bounds, masses, cents, lag_lo, lag_hi, s=1, window=None):
     """Per-lag (lower, upper) sums by a double loop over cell pairs (i, i+L).
 
-    Lower terms use the pair's span, upper terms its gap, touching pairs the
-    wider cell's width; a window keeps only pairs whose parent cells (groups
-    of s consecutive cells) are at most `window` apart.
+    Lower terms are Jensen at the largest centroid gap (capped at the span);
+    upper terms the chord of the kernel over [gap, span] at the smallest
+    centroid gap, and for touching pairs the kernel at the wider cell's
+    width or the lower term, whichever is larger.  A window keeps only pairs whose parent cells (groups of s
+    consecutive cells) are at most `window` apart.
     """
     def k(d):
         return max(-math.log(max(d, 5e-324)), 0.0)
 
+    c_lo, c_hi = cents
     n = len(masses)
     lows, ups = [], []
     for L in range(lag_lo, min(lag_hi, n)):
@@ -194,11 +224,16 @@ def _brute_bracket(bounds, masses, lag_lo, lag_hi, s=1, window=None):
             if window is not None and j // s - i // s > window:
                 continue
             mm = 2.0 * masses[i] * masses[j]
-            lo += mm * k(bounds[j + 1] - bounds[i])
+            span = bounds[j + 1] - bounds[i]
+            lo += mm * k(min(c_hi[j] - c_lo[i], span))
             if L == 1:
-                up += mm * k(max(bounds[i + 1] - bounds[i], bounds[j + 1] - bounds[j]))
+                wide = max(bounds[i + 1] - bounds[i], bounds[j + 1] - bounds[j])
+                up += mm * max(k(wide), k(min(c_hi[j] - c_lo[i], span)))
             else:
-                up += mm * k(bounds[j] - bounds[i + 1])
+                gap = bounds[j] - bounds[i + 1]
+                d = max(c_lo[j] - c_hi[i], gap)
+                frac = min((d - gap) / max(span - gap, 5e-324), 1.0)
+                up += mm * (k(gap) + (k(span) - k(gap)) * frac)
         lows.append(lo)
         ups.append(up)
     return lows, ups
@@ -216,8 +251,9 @@ class TestBracketKernel:
     }
 
     def _partition(self, name):
-        bounds, fvals = _partition_arrays(self.MEASURES[name](), self.N)
-        return bounds, np.diff(fvals)
+        F = self.MEASURES[name]()
+        bounds, fvals = _partition_arrays(F, self.N)
+        return bounds, np.diff(fvals), _centroid_brackets(F, bounds, fvals, 16)
 
     @staticmethod
     def _check(got, want):
@@ -234,25 +270,149 @@ class TestBracketKernel:
     @pytest.mark.parametrize("name", sorted(MEASURES))
     @pytest.mark.parametrize("lag_lo", [1, 5])
     def test_all_pairs(self, name, lag_lo):
-        bounds, masses = self._partition(name)
-        got = _bracket_sums(bounds, masses, lag_lo, self.N)
-        self._check(got, _brute_bracket(bounds, masses, lag_lo, self.N))
+        bounds, masses, cents = self._partition(name)
+        got = _bracket_sums(bounds, masses, cents, lag_lo, self.N)
+        self._check(got, _brute_bracket(bounds, masses, cents, lag_lo, self.N))
         if name == "uniform-wide":
             assert len(got[0]) == 17 - lag_lo
 
     @pytest.mark.parametrize("name", sorted(MEASURES))
     def test_parent_window_mask(self, name):
         s, window = 4, 3
-        bounds, masses = self._partition(name)
+        bounds, masses, cents = self._partition(name)
         parent = np.arange(self.N) // s
 
         def keep(L):
             return np.nonzero(parent[L:] - parent[: self.N - L] <= window)[0]
 
         lag_hi = (window + 1) * s
-        got = _bracket_sums(bounds, masses, 1, lag_hi, keep)
-        want = _brute_bracket(bounds, masses, 1, lag_hi, s, window)
+        got = _bracket_sums(bounds, masses, cents, 1, lag_hi, keep)
+        want = _brute_bracket(bounds, masses, cents, 1, lag_hi, s, window)
         self._check(got, want)
         # the window drops pairs at the partial lags
-        full = _brute_bracket(bounds, masses, 1, lag_hi)
+        full = _brute_bracket(bounds, masses, cents, 1, lag_hi)
         assert want[1][-1] < full[1][-1]
+
+
+class TestPairBrackets:
+    """Every cell pair's bracket against its exact integral.
+
+    On a measure that is uniform inside each cell, cells i < j carry
+    (m_i/w_i)(m_j/w_j) times the trapezoid integral of the kernel over
+    [0, w_i] x [0, w_j] at gap g, and a cell's self term is
+    m^2 (3/2 + ln(1/w)).  The cells have random widths and masses.
+    """
+
+    N = 48
+
+    @pytest.fixture(scope="class")
+    def cells(self):
+        rng = np.random.default_rng(7)
+        widths = rng.uniform(0.5, 1.5, self.N)
+        masses = rng.uniform(0.5, 1.5, self.N)
+        bounds = np.concatenate(([0.0], np.cumsum(widths / widths.sum())))
+        bounds[-1] = 1.0
+        fvals = np.concatenate(([0.0], np.cumsum(masses / masses.sum())))
+        fvals[-1] = 1.0
+        F = MonotoneCDF(0.0, 1.0, 1.0, lambda x: np.interp(x, bounds, fvals),
+                        KIND_PIECEWISE_LINEAR, True)
+        return F, bounds, np.diff(fvals)
+
+    def _exact(self, bounds, masses, i, j):
+        wi, wj = bounds[i + 1] - bounds[i], bounds[j + 1] - bounds[j]
+        gap = bounds[j] - bounds[i + 1]
+        return masses[i] / wi * masses[j] / wj * _trapezoid_log_integral(gap, wi, wj)
+
+    def test_centroids_bracketed(self, cells):
+        F, bounds, masses = cells
+        c_lo, c_hi = _centroid_brackets(F, bounds, np.concatenate(([0.0], np.cumsum(masses))), 16)
+        mid = 0.5 * (bounds[:-1] + bounds[1:])
+        assert np.all(c_lo <= mid) and np.all(mid <= c_hi)
+        assert np.all(c_hi - c_lo <= np.diff(bounds) / 16 * (1 + 1e-9))
+
+    def test_each_pair_contains_exact(self, cells):
+        F, bounds, masses = cells
+        fvals = np.concatenate(([0.0], np.cumsum(masses)))
+        cents = _centroid_brackets(F, bounds, fvals, 16)
+        for L in range(1, self.N):
+            for i in range(self.N - L):
+                lows, ups = _bracket_sums(bounds, masses, cents, L, L + 1,
+                                          lambda _, i=i: np.array([i]))
+                exact = 2.0 * self._exact(bounds, masses, i, i + L)
+                assert lows[0] <= exact * (1 + 1e-12), (L, i)
+                if L >= 2:
+                    assert exact <= ups[0] * (1 + 1e-12), (L, i)
+
+    def test_layer_cake_uppers(self, cells):
+        F, bounds, masses = cells
+        ball = _BallMass.of(F)
+        assert ball is not None
+        self_up, touch_up = _diag_uppers(bounds, masses, ball)
+        widths = np.diff(bounds)
+        self_exact = masses**2 * (1.5 - np.log(widths))
+        assert np.all(self_exact <= self_up)
+        for i in range(self.N - 1):
+            assert 2.0 * self._exact(bounds, masses, i, i + 1) <= touch_up[i], i
+
+
+class TestLineEnergiesContained:
+    """The double engine's converged bracket contains the exact energy."""
+
+    CASES = {
+        "uniform": (lambda: uniform_cdf(0.0, 1.0, 1.0), lambda: 1.5),
+        "power-half": (lambda: power_law_cdf(1.0, 0.5, 1.0), lambda: 3.0 - 2.0 * LN2),
+        "cantor3": (lambda: cantor_cdf(standard_cantor_spec(3.0)), lambda: cantor_energy_oracle(3.0)),
+        "cantor4": (lambda: cantor_cdf(standard_cantor_spec(4.0)), lambda: cantor_energy_oracle(4.0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_converged_bracket_contains_exact(self, name):
+        make, exact = self.CASES[name]
+        est = energy_double_stieltjes(make())
+        assert est.verdict == VERDICT_FINITE
+        assert est.stop_reason == "agreement"
+        assert est.upper_kind == "modulus"
+        assert est.lower <= exact() <= est.upper
+        # the ladder now stops in the hundreds to low thousands
+        assert est.trace[-1][0] <= 2048
+
+
+class TestStopRecord:
+    """Every estimate names why its engine stopped and what its upper is."""
+
+    def test_schedule_exhausted(self):
+        est = energy_double_stieltjes(uniform_cdf(), QuadratureConfig(depth_schedule=(16,)))
+        assert est.verdict == VERDICT_INCONCLUSIVE
+        assert (est.stop_reason, est.upper_kind) == ("schedule_exhausted", "modulus")
+
+    def test_atom(self):
+        est = energy_double_stieltjes(table_cdf([0.0, 0.5, 1.0], [0.2, 0.7, 1.0]))
+        assert est.verdict == VERDICT_DIVERGENT
+        assert (est.stop_reason, est.upper_kind) == ("atom", "heuristic")
+
+    def test_budget(self):
+        cfg = QuadratureConfig(depth_schedule=(64,), divergence_budget=0.5)
+        est = energy_double_stieltjes(uniform_cdf(), cfg)
+        assert (est.verdict, est.stop_reason) == (VERDICT_DIVERGENT, "budget")
+
+    def test_density_exact(self):
+        est = energy_density(StepDensity((Block(0.0, 0.0, LN2),)))
+        assert (est.stop_reason, est.upper_kind) == ("agreement", "exact")
+        est = energy_density(l1_divergent_blocks(50))
+        assert (est.stop_reason, est.upper_kind) == ("series_growth", "exact")
+
+
+def test_results_do_not_depend_on_blas_threads():
+    code = (
+        "import logmeasure as lm\n"
+        "for F in (lm.uniform_cdf(), lm.cantor_cdf(lm.standard_cantor_spec(3.0))):\n"
+        "    print(repr(lm.energy_double_stieltjes(F)))\n"
+    )
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        r = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, check=True)
+        outs.append(r.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count("FiniteConverged") == 2

@@ -1,0 +1,98 @@
+"""Paired before/after runs of lmbench, summarised in one JSON record.
+
+    python3 tools/bench_pairs.py --parent /path/to/parent-checkout --change . \\
+        --workload line-certify --seeds 61-70 --seconds 30 --traced 2 \\
+        --out BENCH.json
+
+``--parent`` and ``--change`` are checkouts holding ``lmbench/`` and
+``src/`` (make the parent one with ``git archive``).  For each seed the two
+sides run ``lmbench/run.py --trace 0`` back to back, the side that goes
+first alternating from pair to pair.  ``--traced N`` then runs N traced
+runs per side on the seeds after the last one, also alternating.  The
+record for the workload (every run's result line; median and quartiles of
+each end-to-end metric per side; the pairs the change won; the per-layer
+metrics of the traced runs) is merged into ``--out`` with the core count
+and the library versions.  Run it on an otherwise idle machine.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+import numpy
+
+
+def run(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    cmd = [sys.executable, "lmbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def spread(values: list) -> dict:
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, help="first-last, inclusive")
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--traced", type=int, default=0)
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+    first, last = (int(s) for s in args.seeds.split("-"))
+    sides = {"parent": args.parent, "change": args.change}
+
+    pairs = []
+    for k, seed in enumerate(range(first, last + 1)):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run(sides[side], args.workload, seed, args.seconds, 0)
+            print(seed, side, json.dumps(pair[side]["metrics"]), flush=True)
+        pairs.append(pair)
+
+    record = {"seconds": args.seconds, "pairs": pairs, "end_to_end": {}}
+    for metric in pairs[0]["parent"]["metrics"]:
+        vals = {s: [p[s]["metrics"][metric]["value"] for p in pairs] for s in sides}
+        record["end_to_end"][metric] = {
+            **{s: spread(v) for s, v in vals.items()},
+            "change_lower_in_pairs": sum(c < p for p, c in zip(vals["parent"], vals["change"])),
+        }
+    record["failed_share"] = {
+        s: [f"{p[s]['failed']}/{p[s]['attempted']}" for p in pairs] for s in sides}
+
+    traced = {s: [] for s in sides}
+    for k in range(args.traced):
+        seed = last + 1 + k
+        for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+            res = run(sides[side], args.workload, seed, args.seconds, 1)
+            traced[side].append({"seed": seed, "metrics": {
+                name: m["value"] for name, m in res["metrics"].items()}})
+    if args.traced:
+        record["traced"] = traced
+
+    doc = {}
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    doc["machine"] = {"cores": os.cpu_count(), "python": platform.python_version(),
+                      "numpy": numpy.__version__, "OPENBLAS_NUM_THREADS": "1 (set by lmbench)"}
+    doc.setdefault("workloads", {})[args.workload] = record
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
