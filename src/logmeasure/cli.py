@@ -20,8 +20,8 @@ CSV tables using the same float formatting.
 
 Exit codes: 0 for a decisive result (FiniteConverged or Divergent; a
 certified classification; a passing scenario), 1 for malformed input or
-an unknown scenario, 2 for Inconclusive/Unknown outcomes, 3 for a
-scenario whose checks failed.
+an unknown scenario, 2 for a command line the parser rejects, 3 for a
+scenario whose checks failed, 4 for Inconclusive/Unknown outcomes.
 """
 from __future__ import annotations
 
@@ -140,7 +140,7 @@ def _cmd_energy(args) -> int:
     print(f"verdict={est.verdict} value={fmt(est.value)} "
           f"lower={fmt(est.lower)} upper={fmt(est.upper)}")
     print(f"wrote {jpath} and {cpath}")
-    return 2 if est.verdict == VERDICT_INCONCLUSIVE else 0
+    return 4 if est.verdict == VERDICT_INCONCLUSIVE else 0
 
 
 def _cmd_classify(args) -> int:
@@ -155,7 +155,7 @@ def _cmd_classify(args) -> int:
     jpath = _write_text(args.out_dir, "classify.json", lio.dumps(report))
     print(f"verdict={verdict.verdict} rule={verdict.rule}")
     print(f"wrote {jpath}")
-    return 2 if verdict.verdict == UNKNOWN else 0
+    return 4 if verdict.verdict == UNKNOWN else 0
 
 
 def _cmd_cantor(args) -> int:

@@ -125,8 +125,8 @@ class MembershipVerdict:
 
     MemberCertified requires a satisfied sufficient condition or a finite
     energy bracket; DivergenceCertified requires a certified lower bound;
-    Unknown names the last rule attempted in `rule` with the reason in the
-    witness.
+    Unknown names the last rule attempted in `rule`, and its witness lists
+    every rule tried under "declined" with the reason each one declined.
     """
 
     verdict: str
@@ -283,6 +283,14 @@ def classify_membership(measure, cfg: QuadratureConfig = QuadratureConfig()) -> 
     j_lo, j_hi = DEFAULT_FIT_RANGE
     grid = default_modulus_grid(F)
 
+    declined = []  # (rule, reason) of every gate that did not conclude
+
+    def unknown(rule: str) -> MembershipVerdict:
+        return MembershipVerdict(UNKNOWN, rule, {
+            "reason": "no sufficient condition concluded",
+            "declined": [{"rule": r, "reason": why} for r, why in declined],
+        })
+
     fit = None
     try:
         fit = fit_holder(F, j_lo, j_hi, grid=grid)
@@ -292,6 +300,7 @@ def classify_membership(measure, cfg: QuadratureConfig = QuadratureConfig()) -> 
             return MembershipVerdict(
                 MEMBER_CERTIFIED, RULE_LIPSCHITZ, {"alpha": 1.0, "K": 0.0, "zero_mass": True}
             )
+    no_fit = "sampled modulus vanishes at the fitting scales"
 
     if fit is not None and fit.alpha >= LIPSCHITZ_MIN_ALPHA:
         ys = np.asarray(fit.scales, dtype=float)
@@ -304,12 +313,17 @@ def classify_membership(measure, cfg: QuadratureConfig = QuadratureConfig()) -> 
                 {"alpha": 1.0, "K": K1,
                  "energy_bound": holder_energy_bound(K1, 1.0, F.total_mass)},
             )
+        declined.append((RULE_LIPSCHITZ, f"bound K = {K1:.6g} fails the out-of-sample check"))
+    else:
+        declined.append((RULE_LIPSCHITZ, no_fit if fit is None else
+                         f"fitted exponent {fit.alpha:.6g} below {LIPSCHITZ_MIN_ALPHA}"))
 
     if f is not None:
         for p in LP_EXPONENTS:
             v = lp_norm(f, p)
             if math.isfinite(v):
                 return MembershipVerdict(MEMBER_CERTIFIED, RULE_LP, {"p": p, "norm": v})
+        declined.append((RULE_LP, f"L^p norm infinite for p in {LP_EXPONENTS}"))
 
     if fit is not None and HOLDER_MIN_ALPHA <= fit.alpha < 1.0:
         if _bound_confirmed(F, fit.alpha, fit.K, j_hi, grid=grid):
@@ -319,7 +333,13 @@ def classify_membership(measure, cfg: QuadratureConfig = QuadratureConfig()) -> 
                 {"alpha": fit.alpha, "K": fit.K, "residual": fit.residual,
                  "energy_bound": holder_energy_bound(fit.K, fit.alpha, F.total_mass)},
             )
+        declined.append((RULE_HOLDER, f"bound K = {fit.K:.6g}, alpha = {fit.alpha:.6g} "
+                                      "fails the out-of-sample check"))
+    else:
+        declined.append((RULE_HOLDER, no_fit if fit is None else
+                         f"fitted exponent {fit.alpha:.6g} outside [{HOLDER_MIN_ALPHA}, 1)"))
 
+    worst = []
     for beta in LOG_MODULUS_BETAS:
         rep = check_log_modulus(F, beta, grid=grid)
         if rep["holds"]:
@@ -329,6 +349,8 @@ def classify_membership(measure, cfg: QuadratureConfig = QuadratureConfig()) -> 
                 {"beta": beta, "eps_used": rep["eps_used"],
                  "worst_ratio": rep["worst_ratio"]},
             )
+        worst.append(f"{rep['worst_ratio']:.6g} at beta = {beta}")
+    declined.append((RULE_LOG_MODULUS, "worst ratio above 1: " + ", ".join(worst)))
 
     if f is not None:
         est = energy_density(f, cfg)
@@ -337,6 +359,7 @@ def classify_membership(measure, cfg: QuadratureConfig = QuadratureConfig()) -> 
                 MEMBER_CERTIFIED, RULE_ENERGY,
                 {"value": est.value, "lower": est.lower, "upper": est.upper},
             )
+        declined.append((RULE_ENERGY, _energy_reason(est)))
         series = step_lower_bound(f)
         if series["diverging"] or series["partial_sum"] > cfg.divergence_budget:
             return MembershipVerdict(
@@ -346,9 +369,9 @@ def classify_membership(measure, cfg: QuadratureConfig = QuadratureConfig()) -> 
                  "diverging": bool(series["diverging"]),
                  "n_blocks": f.n_max},
             )
-        return MembershipVerdict(
-            UNKNOWN, RULE_SERIES, {"reason": "no sufficient condition concluded"}
-        )
+        declined.append((RULE_SERIES, f"partial sum {series['partial_sum']:.6g} within "
+                                      f"budget {cfg.divergence_budget:.6g} and not growing"))
+        return unknown(RULE_SERIES)
 
     est = energy_double_stieltjes(F, cfg)
     if est.verdict == VERDICT_FINITE:
@@ -360,6 +383,10 @@ def classify_membership(measure, cfg: QuadratureConfig = QuadratureConfig()) -> 
         return MembershipVerdict(
             DIVERGENCE_CERTIFIED, RULE_ENERGY, {"lower": est.lower}
         )
-    return MembershipVerdict(
-        UNKNOWN, RULE_ENERGY, {"reason": "no sufficient condition concluded"}
-    )
+    declined.append((RULE_ENERGY, _energy_reason(est)))
+    return unknown(RULE_ENERGY)
+
+
+def _energy_reason(est) -> str:
+    return (f"{est.verdict} bracket [{est.lower:.6g}, {est.upper:.6g}], "
+            f"stopped by {est.stop_reason}")

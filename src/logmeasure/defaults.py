@@ -1,9 +1,11 @@
 """Scenario tolerances and fixed experiment parameters, in one place.
 
-Every number a canned scenario or the acceptance suite checks against is
-named here so the pass/fail thresholds are auditable and versioned with
-the code.  Modules keep their own algorithmic defaults (fit windows,
-refinement schedules); this file pins the *experiment* parameters.
+The scenario registry (:mod:`logmeasure.scenarios`) is the only consumer:
+every number a scenario checks against is named here, so the pass/fail
+thresholds are auditable and versioned with the code.  The acceptance
+suite runs those scenarios and adds only wall-time budgets.  Modules keep
+their own algorithmic defaults (fit windows, refinement schedules); this
+file pins the *experiment* parameters.
 """
 from .criteria import DEFAULT_FIT_RANGE
 
@@ -33,6 +35,7 @@ DIMENSION_SLOPE_TOL = 1e-6          # |slope - ln2/lnK| bound (exact covers)
 DIM0_DEPTH = 40                     # construction depth for the thin family
 DIM0_LEVEL = 36                     # level at which the pointwise ratio ...
 DIM0_BOUND = 1e-4                   # ... must have decayed below this
+DIM0_CLOSED_FORM_TOL = 1e-15        # box-count ratio vs n ln2 / 2^(n/2)
 LOG_MODULUS_SAMPLES = 1000          # modulus grid size for the certificate
 
 # --- radial-circle -------------------------------------------------------
@@ -57,7 +60,15 @@ BLOB_K_FACTOR = 1.2                 # uniform constant threshold vs parent
 # fixed this window is recorded in the repository notes and regression
 # tests.
 
-# --- velocity consistency ------------------------------------------------
+# --- velocity-consistency ------------------------------------------------
+KE_BOX = (-1.1, -1.1, 1.1, 1.1)     # (lo_x, lo_y, hi_x, hi_y) of every grid
+KE_GRID_N = 440                     # point-vortex grid is KE_GRID_N^2 cells
+KE_R_OUT = 1.0                      # outer radius of every energy disk
+KE_R_IN = 0.1                       # annulus energy (1/2pi) ln(R_OUT/R_IN)
+KE_EPS = (0.4, 0.2, 0.1, 0.05)      # inner radii of the ln(1/eps) slope fit
+KE_BLOB_N = 64                      # atoms of the mollified point vortex
+KE_BLOB_RADIUS = 0.1                # its blob radius
+KE_BLOB_GRIDS = (320, 400)          # successive grid sizes for the drift
 KE_ANNULUS_REL_TOL = 0.05           # annulus energy vs (1/2pi) ln 10
 KE_SLOPE_REL_TOL = 0.10             # ln(1/eps) growth slope vs 1/(2pi)
 KE_GRID_DRIFT_TOL = 0.02            # successive grid refinements differ less

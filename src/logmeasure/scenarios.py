@@ -1,8 +1,11 @@
-"""Canned experiments behind the ``repro`` subcommand.
+"""The named experiments behind ``logmeasure repro`` and the acceptance suite.
 
-Each scenario reruns one headline computation end to end, compares the
-numbers against the thresholds pinned in :mod:`logmeasure.defaults`, and
-returns a deterministic report dictionary::
+This registry is the only definition of each experiment: ``repro`` runs
+one by name, and ``tests/test_acceptance.py`` runs them against wall-time
+budgets.  Each scenario reruns one headline computation end to end,
+compares the numbers against the thresholds pinned in
+:mod:`logmeasure.defaults`, and returns a deterministic report
+dictionary (timings are never part of it)::
 
     {
       "scenario": <name>,
@@ -18,6 +21,8 @@ deterministically through :func:`logmeasure.io.dumps`.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from . import defaults as D
 from .criteria import (
@@ -44,11 +49,15 @@ from .fractal import (
     log_modulus_certificate,
     standard_cantor_spec,
 )
-from .measures import arcsin_profile_cdf, l1_divergent_blocks, uniform_cdf
+from .measures import arcsin_profile_cdf, eval_cdf, l1_divergent_blocks, uniform_cdf
 from .planar import (
-    circle_measure,
+    GridSpec,
+    biot_savart,
     blob_approximation,
+    circle_measure,
+    dirac_at,
     energy_planar,
+    local_kinetic_energy,
     power_law_profile,
     radial_cdf,
     radial_inequality_check,
@@ -66,6 +75,10 @@ def _check(name: str, passed: bool, **numbers: float) -> dict:
 
 def _table(columns: list[str], rows: list[list]) -> dict:
     return {"columns": list(columns), "rows": [list(r) for r in rows]}
+
+
+def _trace_table(est) -> dict:
+    return _table(["n", "lower", "upper"], est.trace)
 
 
 def _report(name: str, claim: str, checks: list[dict], tables: dict | None = None) -> dict:
@@ -115,8 +128,8 @@ def _uniform_energy() -> dict:
         ),
     ]
     tables = {
-        "trace_double": _table(["n", "lower", "upper"], [list(r) for r in dbl.trace]),
-        "trace_one_sided": _table(["n", "lower", "upper"], [list(r) for r in one.trace]),
+        "trace_double": _trace_table(dbl),
+        "trace_one_sided": _trace_table(one),
     }
     return _report(
         "uniform-energy",
@@ -138,8 +151,10 @@ def _counterexample_l1() -> dict:
     checks = [
         _check(
             "diagonal_terms_equal_one",
-            worst <= D.COUNTEREXAMPLE_TERM_TOL,
+            worst <= D.COUNTEREXAMPLE_TERM_TOL
+            and len(terms) == D.COUNTEREXAMPLE_BLOCKS,
             n_terms=len(terms),
+            blocks=D.COUNTEREXAMPLE_BLOCKS,
             worst_deviation=worst,
             tol=D.COUNTEREXAMPLE_TERM_TOL,
         ),
@@ -247,8 +262,8 @@ def _cantor_standard() -> dict:
         ),
     ]
     tables = {
-        "trace_double": _table(["n", "lower", "upper"], [list(r) for r in dbl.trace]),
-        "trace_one_sided": _table(["n", "lower", "upper"], [list(r) for r in one.trace]),
+        "trace_double": _trace_table(dbl),
+        "trace_one_sided": _trace_table(one),
     }
     return _report(
         "cantor-standard",
@@ -266,7 +281,8 @@ def _cantor_smallest() -> dict:
     # Pointwise box-count ratio at a deep level: n*ln2 / |ln d_n| with
     # ln d_n = -2^{n/2}, which must have decayed below DIM0_BOUND.
     level = D.DIM0_LEVEL
-    pointwise = level * math.log(2.0) / abs(spec.d_log(level))
+    pointwise = box_counting_dimension(spec, D.DIMENSION_FIT_LEVELS[0], level).pointwise[-1]
+    closed_form = level * math.log(2.0) / 2.0 ** (level / 2.0)
     checks = [
         _check(
             "edge_modulus_certified",
@@ -285,10 +301,13 @@ def _cantor_smallest() -> dict:
         ),
         _check(
             "pointwise_dimension_ratio_decayed",
-            pointwise <= D.DIM0_BOUND,
+            pointwise <= D.DIM0_BOUND
+            and abs(pointwise - closed_form) <= D.DIM0_CLOSED_FORM_TOL,
             level=level,
             ratio=pointwise,
             bound=D.DIM0_BOUND,
+            closed_form=closed_form,
+            closed_form_tol=D.DIM0_CLOSED_FORM_TOL,
         ),
     ]
     return _report(
@@ -302,14 +321,16 @@ def _cantor_smallest() -> dict:
 
 
 def _radial_circle() -> dict:
-    ref = arcsin_profile_cdf()
+    rs = np.arange(4097) / 4096.0 * 2.0
+    ref = eval_cdf(arcsin_profile_cdf(), rs)
     checks = []
     sup_rows = []
+    planar = []
+    centred = []
     for n in D.RADIAL_NS:
         P = circle_measure(n)
         prof = radial_cdf(P, (1.0, 0.0))
-        grid = [i / 4096.0 * 2.0 for i in range(4097)]
-        sup_err = max(abs(prof.G(r) - ref(r)) for r in grid)
+        sup_err = float(np.max(np.abs(eval_cdf(prof.G, rs) - ref)))
         budget = D.RADIAL_SUP_ERR_FACTOR / n
         sup_rows.append([n, sup_err, budget])
         checks.append(
@@ -333,6 +354,8 @@ def _radial_circle() -> dict:
                 rhs_lower=ineq["rhs_lower"],
             )
         )
+        centred.append(energy_double_stieltjes(radial_cdf(P, (0.0, 0.0)).G))
+        planar.append(energy_planar(P))
     center = radial_inequality_check(circle_measure(D.RADIAL_NS[1]), (0.0, 0.0))
     checks.append(
         _check(
@@ -342,20 +365,29 @@ def _radial_circle() -> dict:
             rhs_lower=center["rhs_lower"],
         )
     )
-    est = energy_planar(circle_measure(D.RADIAL_NS[0]))
+    checks.append(
+        _check(
+            "centred_radial_energy_divergent",
+            all(e.verdict == VERDICT_DIVERGENT for e in centred),
+            n=list(D.RADIAL_NS),
+            lower=[e.lower for e in centred],
+            verdict=[e.verdict for e in centred],
+        )
+    )
     checks.append(
         _check(
             "planar_energy_finite",
-            est.verdict == VERDICT_FINITE,
-            value=est.value,
-            lower=est.lower,
-            upper=est.upper,
-            verdict=est.verdict,
+            all(e.verdict == VERDICT_FINITE for e in planar),
+            n=list(D.RADIAL_NS),
+            value=[e.value for e in planar],
+            lower=[e.lower for e in planar],
+            upper=[e.upper for e in planar],
+            verdict=[e.verdict for e in planar],
         )
     )
     tables = {
         "sup_errors": _table(["n", "sup_error", "budget"], sup_rows),
-        "trace_planar": _table(["n", "lower", "upper"], [list(r) for r in est.trace]),
+        "trace_planar": _trace_table(planar[0]),
     }
     return _report(
         "radial-circle",
@@ -487,6 +519,59 @@ def _dimension_table() -> dict:
     )
 
 
+def _velocity_consistency() -> dict:
+    origin = (0.0, 0.0)
+    u = biot_savart(dirac_at(origin), GridSpec(*D.KE_BOX, D.KE_GRID_N, D.KE_GRID_N))
+    ke = local_kinetic_energy(u, origin, D.KE_R_OUT, D.KE_R_IN)
+    target = math.log(D.KE_R_OUT / D.KE_R_IN) / (2.0 * math.pi)
+    annulus = [local_kinetic_energy(u, origin, D.KE_R_OUT, eps) for eps in D.KE_EPS]
+    slope = float(np.polyfit(np.log(1.0 / np.asarray(D.KE_EPS)), annulus, 1)[0])
+    slope_target = 1.0 / (2.0 * math.pi)
+    blob = blob_approximation(
+        radial_cdf(dirac_at(origin), origin), D.KE_BLOB_N, D.KE_BLOB_RADIUS
+    )
+    blob_ke = [
+        local_kinetic_energy(biot_savart(blob, GridSpec(*D.KE_BOX, ng, ng)), origin, D.KE_R_OUT)
+        for ng in D.KE_BLOB_GRIDS
+    ]
+    drift = abs(blob_ke[1] - blob_ke[0]) / blob_ke[0]
+    checks = [
+        _check(
+            "annulus_energy",
+            abs(ke - target) / target <= D.KE_ANNULUS_REL_TOL,
+            value=ke,
+            target=target,
+            rel_tol=D.KE_ANNULUS_REL_TOL,
+        ),
+        _check(
+            "log_growth_slope",
+            abs(slope - slope_target) / slope_target <= D.KE_SLOPE_REL_TOL,
+            slope=slope,
+            target=slope_target,
+            rel_tol=D.KE_SLOPE_REL_TOL,
+        ),
+        _check(
+            "blob_grid_drift",
+            drift < D.KE_GRID_DRIFT_TOL,
+            drift=drift,
+            tol=D.KE_GRID_DRIFT_TOL,
+        ),
+    ]
+    tables = {
+        "annulus_energy": _table(["r_in", "energy"], zip(D.KE_EPS, annulus)),
+        "blob_grid": _table(["n_grid", "energy"], zip(D.KE_BLOB_GRIDS, blob_ke)),
+    }
+    return _report(
+        "velocity-consistency",
+        "The Biot-Savart field of a unit point vortex has kinetic energy "
+        "(1/2pi) ln(R/r) on the annulus r < |x| < R, so it grows like "
+        "(1/2pi) ln(1/eps) as the inner radius shrinks, and a vortex blob's "
+        "disk energy is stable under grid refinement.",
+        checks,
+        tables,
+    )
+
+
 SCENARIOS = {
     "uniform-energy": _uniform_energy,
     "counterexample-L1": _counterexample_l1,
@@ -497,6 +582,7 @@ SCENARIOS = {
     "power-law": _power_law,
     "blob-holder": _blob_holder,
     "dimension-table": _dimension_table,
+    "velocity-consistency": _velocity_consistency,
 }
 
 SCENARIO_NAMES = tuple(SCENARIOS)

@@ -126,7 +126,7 @@ class TestClassifyCommand:
         doc = json.loads((tmp_path / "classify.json").read_text())
         assert doc["classification"]["rule"] == rule
 
-    def test_unknown_exits_two(self, tmp_path):
+    def test_unknown_exits_four_and_names_each_declined_rule(self, tmp_path):
         # an extremely flat equal-ratio family: fitted exponent ~1/21 falls
         # below every certification gate, and no divergence witness exists
         # (a shallow engine ladder keeps the direct-energy probe cheap)
@@ -135,9 +135,14 @@ class TestClassifyCommand:
                                  "K": 2097152.0, "beta": 2, "depth": 30}))
         r = run_cli("classify", "--measure", m, "--depth", 6,
                     "--out-dir", tmp_path)
-        assert r.returncode == 2
+        assert r.returncode == 4
         doc = json.loads((tmp_path / "classify.json").read_text())
         assert doc["classification"]["verdict"] == "Unknown"
+        declined = doc["classification"]["witness"]["declined"]
+        assert [d["rule"] for d in declined] == [
+            "Lipschitz", "Holder", "LogModulus", "EnergyDirect"]
+        assert all(d["reason"] for d in declined)
+        assert "schedule_exhausted" in declined[-1]["reason"]
 
 
 class TestCantorCommand:
@@ -237,7 +242,7 @@ class TestReproCommand:
         cfg.write_text("{}")
         out = tmp_path / "out"
         r = run_cli("repro", "llogl-threshold", "--config", cfg, "--out-dir", out)
-        assert r.returncode != 0
+        assert r.returncode == 2
         assert "--config" in r.stderr
         assert not out.exists()
 
@@ -245,4 +250,10 @@ class TestReproCommand:
         r = run_cli("repro", "dimension-table", "--out-dir", tmp_path)
         assert r.returncode == 0
         doc = json.loads((tmp_path / "repro_dimension_table.json").read_text())
+        assert doc["passed"] is True
+
+    def test_velocity_consistency_scenario(self, tmp_path):
+        r = run_cli("repro", "velocity-consistency", "--out-dir", tmp_path)
+        assert r.returncode == 0
+        doc = json.loads((tmp_path / "repro_velocity_consistency.json").read_text())
         assert doc["passed"] is True
