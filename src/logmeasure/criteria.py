@@ -272,11 +272,13 @@ def classify_membership(measure, cfg: QuadratureConfig = QuadratureConfig()) -> 
     """Apply the sufficient conditions strongest-first; first conclusive wins.
 
     CDF inputs take the modulus-based gates and, failing those, a direct
-    double-Stieltjes bracket.  Step densities additionally get the L^p gate
-    up front (on the density itself) and the diagonal lower-bound series as
-    the final divergence certificate; their energy gate uses the exact
-    block engine and certifies membership only, leaving divergence to the
-    series rule.
+    double-Stieltjes bracket.  The modulus gates (Lipschitz, Holder,
+    log-modulus) certify only CDFs with the continuity flag set; for any
+    other CDF each declines with "no continuity certificate".  Step
+    densities additionally get the L^p gate up front (on the density
+    itself) and the diagonal lower-bound series as the final divergence
+    certificate; their energy gate uses the exact block engine and
+    certifies membership only, leaving divergence to the series rule.
     """
     f = measure if isinstance(measure, StepDensity) else None
     F = cdf_from_step_density(f) if f is not None else measure
@@ -291,16 +293,21 @@ def classify_membership(measure, cfg: QuadratureConfig = QuadratureConfig()) -> 
             "declined": [{"rule": r, "reason": why} for r, why in declined],
         })
 
+    if F.total_mass <= 0.0:
+        # the zero measure has zero energy; certify trivially
+        return MembershipVerdict(
+            MEMBER_CERTIFIED, RULE_LIPSCHITZ, {"alpha": 1.0, "K": 0.0, "zero_mass": True}
+        )
+    # A sampled modulus cannot see a jump that no grid point sits just left
+    # of, so the modulus gates certify only CDFs that carry the continuity
+    # flag; any other CDF goes straight to the energy gates.
     fit = None
-    try:
-        fit = fit_holder(F, j_lo, j_hi, grid=grid)
-    except DegenerateModulus:
-        if F.total_mass <= 0.0:
-            # the zero measure has zero energy; certify trivially
-            return MembershipVerdict(
-                MEMBER_CERTIFIED, RULE_LIPSCHITZ, {"alpha": 1.0, "K": 0.0, "zero_mass": True}
-            )
-    no_fit = "sampled modulus vanishes at the fitting scales"
+    no_fit = "no continuity certificate"
+    if F.continuous:
+        try:
+            fit = fit_holder(F, j_lo, j_hi, grid=grid)
+        except DegenerateModulus:
+            no_fit = "sampled modulus vanishes at the fitting scales"
 
     if fit is not None and fit.alpha >= LIPSCHITZ_MIN_ALPHA:
         ys = np.asarray(fit.scales, dtype=float)
@@ -339,18 +346,21 @@ def classify_membership(measure, cfg: QuadratureConfig = QuadratureConfig()) -> 
         declined.append((RULE_HOLDER, no_fit if fit is None else
                          f"fitted exponent {fit.alpha:.6g} outside [{HOLDER_MIN_ALPHA}, 1)"))
 
-    worst = []
-    for beta in LOG_MODULUS_BETAS:
-        rep = check_log_modulus(F, beta, grid=grid)
-        if rep["holds"]:
-            return MembershipVerdict(
-                MEMBER_CERTIFIED,
-                RULE_LOG_MODULUS,
-                {"beta": beta, "eps_used": rep["eps_used"],
-                 "worst_ratio": rep["worst_ratio"]},
-            )
-        worst.append(f"{rep['worst_ratio']:.6g} at beta = {beta}")
-    declined.append((RULE_LOG_MODULUS, "worst ratio above 1: " + ", ".join(worst)))
+    if F.continuous:
+        worst = []
+        for beta in LOG_MODULUS_BETAS:
+            rep = check_log_modulus(F, beta, grid=grid)
+            if rep["holds"]:
+                return MembershipVerdict(
+                    MEMBER_CERTIFIED,
+                    RULE_LOG_MODULUS,
+                    {"beta": beta, "eps_used": rep["eps_used"],
+                     "worst_ratio": rep["worst_ratio"]},
+                )
+            worst.append(f"{rep['worst_ratio']:.6g} at beta = {beta}")
+        declined.append((RULE_LOG_MODULUS, "worst ratio above 1: " + ", ".join(worst)))
+    else:
+        declined.append((RULE_LOG_MODULUS, no_fit))
 
     if f is not None:
         est = energy_density(f, cfg)

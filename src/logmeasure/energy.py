@@ -98,6 +98,8 @@ _CENTROID_POINTS = 256
 _NEAR_CENTROID_POINTS = 16
 # Cap on the one-sided engine's adaptive inner y-grid size.
 _MAX_INNER_GRID = 8192
+# Points per side in one block of the one-sided engine's column sums.
+_COLUMN_BLOCK_POINTS = 1 << 20
 # Fraction of total mass below which a resolution-floor-width cell is not
 # treated as an atom (its diagonal term is then provably negligible).
 _ATOM_MASS_FRACTION = 1e-6
@@ -477,16 +479,23 @@ def _modulus_tail_bound(F: MonotoneCDF, y_top: float) -> float:
 def energy_one_sided(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureConfig()) -> EnergyEstimate:
     """One-sided form of the energy for continuous CDFs.
 
-    Outer integral: midpoint atoms of a mass-uniform partition.  Inner
-    integral over y in [2^-52, 1]: a geometric doubling grid, adaptively
-    subdivided where the rigorous per-segment brackets are widest (the
-    inner increment F(x+y) - F(x-y) is nondecreasing in y); the tail below
-    2^-52 is bounded by the sampled modulus of continuity.  The outer
-    midpoint rule is the documented heuristic part of this engine's
-    bracket, so the verdict additionally requires the outer value to have
-    drifted by at most half a tolerance over two consecutive refinements.
-    Only depth_schedule entries in [2^8, 2^13] are used as outer partition
-    sizes; a schedule with none raises BadParams.
+    Outer integral: midpoint atoms x_i of a mass-uniform partition, each of
+    mass w.  Inner integral over y in [2^-52, 1]: a geometric doubling grid
+    y_j, adaptively subdivided where the rigorous per-segment brackets are
+    widest (the inner increment D(x, y) = F(x+y) - F(x-y) is nondecreasing
+    in y); the tail below 2^-52 is bounded by the sampled modulus of
+    continuity.  Everything the inner brackets need is the column sums
+    S_j = sum_i D(x_i, y_j): with dln_j = ln(y_{j+1}/y_j), the lower sum is
+    w sum_j S_j dln_j, the upper sum w sum_j S_{j+1} dln_j and segment j's
+    width w (S_{j+1} - S_j) dln_j.  The column sums are kept while the
+    y-grid is refined, so F is evaluated at each x_i +- y_j once per outer
+    level, on the new y values only.  The sums are plain numpy reductions
+    and einsum, never BLAS, so the result does not depend on the BLAS
+    thread count.  The outer midpoint rule is the documented heuristic part
+    of this engine's bracket, so the verdict additionally requires the outer
+    value to have drifted by at most half a tolerance over two consecutive
+    refinements.  Only depth_schedule entries in [2^8, 2^13] are used as
+    outer partition sizes; a schedule with none raises BadParams.
     """
     if not F.continuous:
         raise DiscontinuousInput(
@@ -515,9 +524,11 @@ def energy_one_sided(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureConfig())
         targets = M * (np.arange(n) + 0.5) / n
         xs = _ginv_array(F, targets)
         w = M / n
+        S = _column_sums(F, xs, ys)
         for _ in range(64):
             dln = np.log(ys[1:] / ys[:-1])
-            inner_lo, inner_up, width_per_seg = _one_sided_sums(F, xs, w, ys, dln)
+            inner_lo = w * float(np.einsum("j,j->", S[:-1], dln))
+            inner_up = w * float(np.einsum("j,j->", S[1:], dln))
             if (
                 inner_up - inner_lo <= cfg.agreement_tol * max(1.0, inner_lo)
                 or ys.size >= _MAX_INNER_GRID
@@ -525,6 +536,7 @@ def energy_one_sided(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureConfig())
                 break
             # grow the grid geometrically, giving each segment new interior
             # points in proportion to its share of the bracket width
+            width_per_seg = w * (S[1:] - S[:-1]) * dln
             budget = min(ys.size, _MAX_INNER_GRID - ys.size)
             total_w = float(np.sum(width_per_seg))
             alloc = np.floor(width_per_seg / max(total_w, _TINY) * budget).astype(np.int64)
@@ -535,7 +547,15 @@ def energy_one_sided(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureConfig())
             t = (pos + 1.0) / np.repeat(alloc + 1.0, alloc)
             log_lo = np.repeat(np.log(ys[:-1]), alloc)
             new = np.exp(log_lo + t * np.repeat(dln, alloc))
-            ys = np.unique(np.concatenate((ys, new)))
+            # merge into the sorted grid, evaluating only the y values not
+            # already in it
+            merged = np.unique(np.concatenate((ys, new)))
+            fresh = np.ones(merged.size, dtype=bool)
+            fresh[np.searchsorted(merged, ys)] = False
+            S_merged = np.empty(merged.size)
+            S_merged[~fresh] = S
+            S_merged[fresh] = _column_sums(F, xs, merged[fresh])
+            ys, S = merged, S_merged
         lower = inner_lo
         upper = inner_up + M * tail_up
         value = 0.5 * (lower + upper) if math.isfinite(upper) else lower
@@ -559,27 +579,20 @@ def energy_one_sided(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureConfig())
                           STOP_SCHEDULE, UPPER_HEURISTIC)
 
 
-def _one_sided_sums(F, xs, w, ys, dln):
-    """Inner-integral bracket sums, chunked over outer points for memory.
+def _column_sums(F, xs, ys):
+    """S_j = sum_i D(x_i, y_j) with D(x, y) = F(x+y) - F(x-y).
 
-    Returns (inner lower sum, inner upper sum, per-segment weighted bracket
-    widths) where the inner increment D(x, y) = F(x+y) - F(x-y) is bracketed
-    on each geometric segment by its endpoint values (D is nondecreasing in
-    y).
+    F is evaluated on blocks of y columns of at most _COLUMN_BLOCK_POINTS
+    points per side, for memory.  Each S_j is a pairwise row sum over all
+    x_i, so it does not depend on the block size.
     """
-    n = xs.size
-    chunk = max(1, 4_000_000 // max(1, ys.size))
-    lo_parts, up_parts = [], []
-    width_per_seg = np.zeros(ys.size - 1)
-    for s in range(0, n, chunk):
-        xc = xs[s : s + chunk]
-        D = eval_cdf(F, xc[:, None] + ys[None, :]) - eval_cdf(F, xc[:, None] - ys[None, :])
-        lo_parts.append(float(np.sum(D[:, :-1] @ dln)))
-        up_parts.append(float(np.sum(D[:, 1:] @ dln)))
-        width_per_seg += np.sum(D[:, 1:] - D[:, :-1], axis=0) * dln
-    inner_lo = w * math.fsum(lo_parts)
-    inner_up = w * math.fsum(up_parts)
-    return inner_lo, inner_up, w * width_per_seg
+    out = np.empty(ys.size)
+    block = max(1, _COLUMN_BLOCK_POINTS // max(1, xs.size))
+    for s in range(0, ys.size, block):
+        yc = ys[s : s + block, None]
+        D = eval_cdf(F, xs[None, :] + yc) - eval_cdf(F, xs[None, :] - yc)
+        out[s : s + block] = D.sum(axis=1)
+    return out
 
 
 # ----------------------------------------------------------------------

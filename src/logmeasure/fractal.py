@@ -128,40 +128,56 @@ def general_ratio_spec(beta: float = 2.0, depth: int = 30) -> CantorSpec:
 def _gamma_eval(x: np.ndarray, ratios: np.ndarray, levels: int) -> np.ndarray:
     """Vectorized digit-descent evaluation of the level-`levels` iterate.
 
-    Each point carries a (value-so-far via banked weights, rescaled
-    coordinate, weight) triple; a level maps coordinate t to t/c (left copy)
-    and (t - (1-c))/c (right copy), each with half the weight.  Coordinates
-    at or past 1 bank their full weight, coordinates at or below 0
-    contribute nothing.  For disjoint levels at most one branch survives per
-    point; overlapping levels (c > 1/2) temporarily duplicate the points
-    that sit inside the overlap, which is the correct splitting of the
-    recursion.
+    Each live point carries a rescaled coordinate t in (0, 1) and the index
+    of the input it belongs to; every live point at level k has the same
+    weight 2**-k.  A level maps t to t/c (left copy) and (t - (1-c))/c
+    (right copy).  A copy at or past 1 settles: its weight is banked into
+    its input's value and it is dropped.  A copy at or below 0 contributes
+    nothing and is dropped.  Only the surviving copies go on to the next
+    level, so each level touches the live points alone.  For disjoint
+    levels at most one copy per point survives; overlapping levels (c > 1/2)
+    keep both copies of the points inside the overlap, which is the correct
+    splitting of the recursion.  After the last level each copy adds its
+    weight times its coordinate clipped to [0, 1].
     """
     x = np.asarray(x, dtype=float)
     shape = x.shape
-    t = x.reshape(-1).astype(float)
+    t = x.reshape(-1)
     size = t.size
     if size == 0:
         return np.zeros(shape)
-    vals = np.zeros(size)
-    idx = np.arange(size)
-    w = np.ones(size)
+    vals = np.where(t >= 1.0, 1.0, 0.0)
+    live = (t > 0.0) & (t < 1.0)
+    t = t[live]
+    idx = np.flatnonzero(live)
+    w = 1.0
     for k in range(levels):
-        done_hi = t >= 1.0
-        if np.any(done_hi):
-            vals += np.bincount(idx[done_hi], weights=w[done_hi], minlength=size)
-        keep = (t > 0.0) & ~done_hi
-        t, w, idx = t[keep], w[keep], idx[keep]
         if t.size == 0:
             break
         c = float(ratios[k])
         cc = max(c, _TINY)
+        a = 1.0 - c
+        w *= 0.5
         left = t / cc
-        right = (t - (1.0 - c)) / cc
-        half = 0.5 * w
-        t = np.concatenate((left, right))
-        w = np.concatenate((half, half))
-        idx = np.concatenate((idx, idx))
+        # The right copy (t - a)/c is positive exactly where t > a.  It stays
+        # below 1: near t = 1 the subtraction t - a is exact (Sterbenz; and
+        # a = 1 - c exactly when c > 1/2), so the quotient is at most
+        # 1 - 2^-53 before rounding.  Only left copies settle.
+        on_right = t > a
+        idx_r = idx[on_right]
+        right = (t[on_right] - a) / cc
+        if k == levels - 1:
+            # no settling needed: the clipped sum below gives a copy at or
+            # past 1 its full weight
+            t = np.concatenate((left, right))
+            idx = np.concatenate((idx, idx_r))
+            break
+        settled = left >= 1.0
+        if np.any(settled):
+            np.add.at(vals, idx[settled], w)
+        keep = ~settled
+        t = np.concatenate((left[keep], right))
+        idx = np.concatenate((idx[keep], idx_r))
     if t.size:
         vals += np.bincount(idx, weights=w * np.clip(t, 0.0, 1.0), minlength=size)
     return vals.reshape(shape)

@@ -66,24 +66,67 @@ def block_energy_oracle(h: float = 2.0, d: float = 1.0, n: int = 4096) -> float:
 
 
 # ----------------------------------------------------------------------
-# Standard Cantor function: independent scalar recursion straight from the
-# three-case definition (equal ratios, so evaluation order is immaterial).
+# Cantor functions: independent scalar recursion straight from the two-copy
+# definition, and a frozen copy of the library's earlier vectorized
+# evaluator for bit-for-bit comparisons.
 
 
-def cantor_gamma_oracle(x: float, n: int, K: float = 3.0) -> float:
-    """Level-n iterate of the middle-(K-2)/K Cantor function, scalar."""
+def cantor_gamma_oracle(x: float, n: int, K: float = 3.0, ratios=None) -> float:
+    """Level-n iterate of a two-copy Cantor function, scalar.
+
+    ratios lists the per-level contraction ratios c_1, c_2, ... (default
+    1/K at every level, the middle-(K-2)/K scheme).  Level n is
+        F_n(x) = F_{n-1}(x / c_1)/2 + F_{n-1}((x - (1 - c_1)) / c_1)/2
+    with F_0 the identity clamped to [0, 1], the ratio list shifted by one
+    at each step.  For c <= 1/2 at most one copy lies strictly inside
+    (0, 1); for c > 1/2 (overlapping copies) both may.
+    """
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
         return 1.0
     if n == 0:
         return x
-    c = 1.0 / K
-    if x < c:
-        return 0.5 * cantor_gamma_oracle(x / c, n - 1, K)
-    if x <= 1.0 - c:
-        return 0.5
-    return 0.5 + 0.5 * cantor_gamma_oracle((x - (1.0 - c)) / c, n - 1, K)
+    if ratios is None:
+        ratios = [1.0 / K] * n
+    c, rest = ratios[0], ratios[1:]
+    return (0.5 * cantor_gamma_oracle(x / c, n - 1, ratios=rest)
+            + 0.5 * cantor_gamma_oracle((x - (1.0 - c)) / c, n - 1, ratios=rest))
+
+
+def gamma_eval_reference(x, ratios, levels: int) -> np.ndarray:
+    """The library's vectorized Cantor evaluator as it stood before it was
+    restructured to touch only live points, kept verbatim as the reference
+    for bit-identity: a (banked value, coordinate, weight) triple per copy,
+    with a full-length bincount at every level."""
+    x = np.asarray(x, dtype=float)
+    shape = x.shape
+    t = x.reshape(-1).astype(float)
+    size = t.size
+    if size == 0:
+        return np.zeros(shape)
+    vals = np.zeros(size)
+    idx = np.arange(size)
+    w = np.ones(size)
+    for k in range(levels):
+        done_hi = t >= 1.0
+        if np.any(done_hi):
+            vals += np.bincount(idx[done_hi], weights=w[done_hi], minlength=size)
+        keep = (t > 0.0) & ~done_hi
+        t, w, idx = t[keep], w[keep], idx[keep]
+        if t.size == 0:
+            break
+        c = float(ratios[k])
+        cc = max(c, 5e-324)
+        left = t / cc
+        right = (t - (1.0 - c)) / cc
+        half = 0.5 * w
+        t = np.concatenate((left, right))
+        w = np.concatenate((half, half))
+        idx = np.concatenate((idx, idx))
+    if t.size:
+        vals += np.bincount(idx, weights=w * np.clip(t, 0.0, 1.0), minlength=size)
+    return vals.reshape(shape)
 
 
 def cantor_ginv_oracle(m: float, n: int = 48, K: float = 3.0) -> float:

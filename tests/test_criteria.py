@@ -1,6 +1,8 @@
 """Membership classifier, modulus fits, and integrability functionals."""
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from logmeasure import (
@@ -9,7 +11,9 @@ from logmeasure import (
     DIVERGENCE_CERTIFIED,
     DegenerateModulus,
     MEMBER_CERTIFIED,
+    QuadratureConfig,
     StepDensity,
+    UNKNOWN,
     check_log_modulus,
     classify_membership,
     fit_holder,
@@ -156,6 +160,31 @@ class TestClassifier:
         assert v.verdict == DIVERGENCE_CERTIFIED
         assert v.rule == "EnergyDirect"
         assert v.witness["lower"] == math.inf
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_atom_tables_never_certified_members(self, seed):
+        # Several atoms at random positions: the sampled modulus misses jumps
+        # that no grid point sits just left of, so the modulus gates used to
+        # certify 8 of these 12 tables as members (rule Holder).
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(3, 9))
+        xs = np.sort(rng.uniform(-1.0, 1.0, k))
+        F = table_cdf(xs, np.cumsum(rng.uniform(0.1, 2.0, k)))
+        v = classify_membership(F)
+        assert (v.verdict, v.rule) == (DIVERGENCE_CERTIFIED, "EnergyDirect")
+        assert v.witness["lower"] == math.inf
+
+    def test_modulus_gates_decline_without_continuity(self):
+        # The uniform law is Lipschitz, but without the continuity flag the
+        # modulus gates may not certify it; a one-level schedule leaves the
+        # energy gate Inconclusive, so the Unknown witness shows every reason.
+        F = dataclasses.replace(uniform_cdf(0.0, 1.0, 1.0), continuous=False)
+        v = classify_membership(F, QuadratureConfig(depth_schedule=(16,)))
+        assert v.verdict == UNKNOWN
+        declined = {d["rule"]: d["reason"] for d in v.witness["declined"]}
+        for rule in ("Lipschitz", "Holder", "LogModulus"):
+            assert declined[rule] == "no continuity certificate"
+        assert declined["EnergyDirect"].startswith("Inconclusive")
 
     def test_thin_family_log_modulus(self):
         v = classify_membership(cantor_cdf(general_ratio_spec(2.0)))

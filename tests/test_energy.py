@@ -1,4 +1,5 @@
 """Energy engines: two-sided, one-sided, and closed-form density forms."""
+import dataclasses
 import math
 import os
 import subprocess
@@ -31,6 +32,7 @@ from logmeasure import (
     translate_cdf,
     uniform_cdf,
 )
+import logmeasure.energy as energy_mod
 from logmeasure.energy import (
     _BallMass,
     _bracket_sums,
@@ -407,6 +409,7 @@ def test_results_do_not_depend_on_blas_threads():
         "import logmeasure as lm\n"
         "for F in (lm.uniform_cdf(), lm.cantor_cdf(lm.standard_cantor_spec(3.0))):\n"
         "    print(repr(lm.energy_double_stieltjes(F)))\n"
+        "    print(repr(lm.energy_one_sided(F)))\n"
     )
     outs = []
     for threads in ("1", "2"):
@@ -415,4 +418,61 @@ def test_results_do_not_depend_on_blas_threads():
                            capture_output=True, text=True, check=True)
         outs.append(r.stdout)
     assert outs[0] == outs[1]
-    assert outs[0].count("FiniteConverged") == 2
+    assert outs[0].count("FiniteConverged") == 4
+
+
+def test_column_sums_do_not_depend_on_block_size(monkeypatch):
+    F = cantor_cdf(standard_cantor_spec(3.0))
+    rng = np.random.default_rng(0)
+    xs = np.sort(rng.uniform(0.0, 1.0, 512))
+    ys = 2.0 ** -rng.uniform(0.0, 52.0, 100)
+    whole = energy_mod._column_sums(F, xs, ys)
+    monkeypatch.setattr(energy_mod, "_COLUMN_BLOCK_POINTS", 7 * 512)
+    assert energy_mod._column_sums(F, xs, ys).tobytes() == whole.tobytes()
+    singles = [energy_mod._column_sums(F, xs, ys[j : j + 1])[0] for j in range(ys.size)]
+    assert np.array(singles).tobytes() == whole.tobytes()
+
+
+def test_one_sided_evaluates_each_column_once_per_level(monkeypatch):
+    """Each outer level asks F for 2 n |ys| points, |ys| the level's final
+    inner-grid size: every y column is evaluated once, on the new y values
+    only, and kept while the grid is refined."""
+    F = cantor_cdf(standard_cantor_spec(3.0))
+    points = [0]
+
+    def counting(x):
+        points[0] += np.size(x)
+        return F.evaluator(x)
+
+    calls = []  # (n, columns, points asked for) per column-sum call
+    column_sums = energy_mod._column_sums
+
+    def recording(G, xs, ys):
+        before = points[0]
+        out = column_sums(G, xs, ys)
+        calls.append((xs.size, ys.copy(), points[0] - before))
+        return out
+
+    monkeypatch.setattr(energy_mod, "_column_sums", recording)
+    est = energy_one_sided(dataclasses.replace(F, evaluator=counting))
+    assert est.verdict == VERDICT_FINITE
+    levels = [n for n, _, _ in est.trace]
+    assert sorted({n for n, _, _ in calls}) == levels
+
+    grids, old_count, new_count = {}, 0, 0
+    for n in levels:
+        mine = [(cols, pts) for m, cols, pts in calls if m == n]
+        for cols, pts in mine:
+            assert pts == 2 * n * cols.size
+        union = np.concatenate([cols for cols, _ in mine])
+        assert np.unique(union).size == union.size  # no column twice
+        grids[n] = np.unique(union)
+        new_count += 2 * n * union.size
+        # what re-evaluating the whole grid at every inner refinement costs
+        old_count += sum(2 * n * size for size in np.cumsum([c.size for c, _ in mine]))
+    # the grid a level ends with is the one the next level starts from
+    for a, b in zip(levels, levels[1:]):
+        first = next(cols for m, cols, _ in calls if m == b)
+        assert np.array_equal(first, grids[a])
+    # all points asked for, the modulus tail bound's included
+    assert points[0] <= 0.7 * (points[0] - new_count + old_count)

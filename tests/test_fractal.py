@@ -1,6 +1,7 @@
 """Generalized Cantor constructions, intervals, certificates, dimension."""
 import math
 
+import numpy as np
 import pytest
 
 from logmeasure import (
@@ -15,11 +16,14 @@ from logmeasure import (
     log_modulus_certificate,
     standard_cantor_spec,
 )
+from logmeasure.fractal import _gamma_eval
 from oracles import (
     beta_pointwise_dim_oracle,
     cantor_gamma_oracle,
     cantor_ginv_oracle,
     dim_slope_oracle,
+    gamma_eval_reference,
+    general_ratio_log_oracle,
 )
 
 LN2 = math.log(2.0)
@@ -70,6 +74,69 @@ class TestCantorCDF:
 
     def test_general_family_has_no_analytic_quantile(self):
         assert cantor_cdf(general_ratio_spec(2.0)).quantile is None
+
+
+EVALUATOR_SPECS = (
+    [standard_cantor_spec(K, depth=30) for K in (2.5, 3.0, 4.0, 9.0)]
+    + [general_ratio_spec(beta, depth=d) for beta in (1.5, 2.0, 3.0) for d in (30, 40)]
+)
+
+
+def _probe_inputs(spec):
+    """Edge points, points just outside [0, 1], random points, and x +- y
+    grids (2-D) of the shape the one-sided engine asks for."""
+    rng = np.random.default_rng(7)
+    ints = cantor_intervals(spec, 10)
+    los = np.asarray(ints.los)
+    ends = np.concatenate((los, los + ints.width(), [0.0, 1.0]))
+    edges = np.concatenate((ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)))
+    outside = np.array([-1.0, -1e-300, -0.0, np.nextafter(1.0, 2.0), 1.5, -np.inf, np.inf])
+    xs = rng.uniform(0.0, 1.0, 64)
+    ys = 2.0 ** -rng.uniform(0.0, 52.0, 48)
+    return [edges, outside, rng.uniform(-0.1, 1.1, 20000),
+            xs[:, None] + ys[None, :], xs[:, None] - ys[None, :]]
+
+
+class TestEvaluator:
+    """The live-point evaluator against a frozen copy of the earlier one."""
+
+    @pytest.mark.parametrize("spec", EVALUATOR_SPECS,
+                             ids=lambda s: f"{s.family}-K{s.K}-b{s.beta}-d{s.depth}")
+    def test_bit_identical_to_reference(self, spec):
+        ratios = spec.ratios()
+        for x in _probe_inputs(spec):
+            for levels in (0, 1, 2, 3, spec.depth):
+                got = _gamma_eval(x, ratios, levels)
+                ref = gamma_eval_reference(x, ratios, levels)
+                assert got.shape == x.shape
+                assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("x", [0.0, 1.0, -0.0, 1.0 / 3.0, 0.7, -2.0, 3.0,
+                                   float(np.nextafter(0.0, 1.0))])
+    def test_scalar_input_bit_identical(self, x):
+        for spec in (standard_cantor_spec(3.0), general_ratio_spec(2.0, depth=40)):
+            got = _gamma_eval(np.asarray(x), spec.ratios(), spec.depth)
+            ref = gamma_eval_reference(np.asarray(x), spec.ratios(), spec.depth)
+            assert got.shape == ()
+            assert got.tobytes() == ref.tobytes()
+            assert cantor_cdf(spec)(x) == float(ref)
+
+    def test_empty_input(self):
+        spec = standard_cantor_spec(3.0)
+        assert _gamma_eval(np.zeros((0, 3)), spec.ratios(), 30).shape == (0, 3)
+
+    @pytest.mark.parametrize("beta", [2.0, 3.0])
+    def test_overlapping_levels_match_recursion_oracle(self, beta):
+        depth = 30
+        ratios = [math.exp(general_ratio_log_oracle(n, beta)) for n in range(1, depth + 1)]
+        # the second level's copies overlap, so both branches recurse there
+        assert ratios[1] > 0.5
+        F = cantor_cdf(general_ratio_spec(beta, depth=depth))
+        xs = np.concatenate((np.linspace(-0.05, 1.05, 301),
+                             np.random.default_rng(3).uniform(0.0, 1.0, 200)))
+        got = F(xs)
+        want = [cantor_gamma_oracle(float(x), depth, ratios=ratios) for x in xs]
+        assert np.max(np.abs(got - np.asarray(want))) <= 1e-12
 
 
 class TestIntervals:
