@@ -11,6 +11,8 @@ from the cloud's provenance: a single point cloud never certifies a finite
 energy, because every atomization looks infinite at its own scale.  The
 pairwise i != j sum is the lower bracket; the upper bracket adds a per-atom
 self-interaction surcharge w_i^2 * k(cell diameter) (heuristic, documented).
+The pair kernels evaluate each unordered pair once, and neither they nor
+the Biot-Savart sums call BLAS, so no result depends on its thread count.
 """
 from __future__ import annotations
 
@@ -83,8 +85,10 @@ FAMILY_TOL = 0.02
 FAMILY_SCHEDULE = (64, 128, 256, 512, 1024, 2048, 4096)
 # Direct O(n^2) sums only; above this the family schedule is truncated.
 _MAX_ATOMS = 10_000
-# Rows per chunk in pairwise kernels (bounds peak memory at ~chunk*n floats).
+# Rows per block in the pair sums (bounds peak memory at ~chunk*n floats).
 _PAIR_CHUNK = 512
+# Grid cell x atom entries per Biot-Savart row block (about 512 KB each).
+_BLOCK_ELEMENTS = 1 << 16
 # Sub-atoms per mollification ring.
 BLOB_RING_POINTS = 8
 # Radii closer than this relative gap are the same radius up to fp noise of
@@ -96,14 +100,15 @@ _RADIUS_SNAP_RTOL = 8.0 * np.finfo(float).eps
 
 
 def _kern2d(d: np.ndarray) -> np.ndarray:
-    """Vector log-plus kernel with the planar convention k(0) = +inf.
+    """Vector log-plus kernel with the planar convention k(0) = +inf, in place.
 
     A zero pairwise distance means a genuine atom of the cloud, whose energy
     really is infinite, so the lower bracket is allowed to be +inf here
     (unlike the quadrature engines, which floor widths instead).
     """
     with np.errstate(divide="ignore"):
-        return np.maximum(-np.log(d), 0.0)
+        np.log(d, out=d)
+    return np.maximum(np.negative(d, out=d), 0.0, out=d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,38 +344,43 @@ def blob_approximation(profile: RadialProfile, n: int, blob_radius: float) -> Pl
                          np.repeat(diam, BLOB_RING_POINTS))
 
 
+def _pair_blocks(points: np.ndarray):
+    """Row blocks [i0, i0 + _PAIR_CHUNK) of the i < j pair walk, columns j >= i0.
+
+    Yields (i0, dx, dy) with the differences x_i - x_j; the sums drop each
+    block's j <= i entries.  The layout depends on n only.
+    """
+    x, y = points.T
+    for i0 in range(0, len(x), _PAIR_CHUNK):
+        i1 = i0 + _PAIR_CHUNK
+        yield i0, x[i0:i1, None] - x[i0:], y[i0:i1, None] - y[i0:]
+
+
+def _block_pair_sum(d: np.ndarray, weights: np.ndarray, i0: int) -> float:
+    """Sum of w_i w_j k(d_ij) over one block's i < j entries; overwrites d."""
+    ks = _kern2d(d)
+    np.copyto(ks[:, :len(ks)], 0.0, where=np.tri(len(ks), dtype=bool))
+    rows = np.einsum("ij,j->i", ks, weights[i0:])
+    return float(np.einsum("i,i->", weights[i0:i0 + len(ks)], rows))
+
+
 def _pair_lower(points: np.ndarray, weights: np.ndarray) -> float:
     """Sum over i != j of w_i w_j k(|x_i - x_j|); +inf on coincident atoms.
 
-    Chunked over rows with a fixed chunk size, so two clouds of equal length
-    are accumulated in the same association order; combined with the
-    monotonicity of IEEE addition this makes termwise-dominated clouds
-    produce ordered sums exactly.
+    Each unordered pair is evaluated once, in the blocks of _pair_blocks,
+    with no BLAS call.  Clouds of equal length are thus summed in the same
+    association order; combined with the monotonicity of IEEE addition this
+    makes termwise-dominated clouds produce ordered sums exactly.
     """
-    n = weights.size
-    if n < 2:
-        return 0.0
-    cols = np.arange(n)[None, :]
-    total = 0.0
-    for i0 in range(0, n, _PAIR_CHUNK):
-        i1 = min(i0 + _PAIR_CHUNK, n)
-        dx = points[i0:i1, 0:1] - points[None, :, 0]
-        dy = points[i0:i1, 1:2] - points[None, :, 1]
-        ks = _kern2d(np.hypot(dx, dy))
-        rows = np.arange(i0, i1)[:, None]
-        contrib = np.where(cols > rows,
-                           (weights[i0:i1, None] * weights[None, :]) * ks, 0.0)
-        total += float(np.sum(contrib))
-    return 2.0 * total
+    return 2.0 * sum(_block_pair_sum(np.hypot(dx, dy, out=dx), weights, i0)
+                     for i0, dx, dy in _pair_blocks(points))
 
 
 def _surcharge(weights: np.ndarray, diam: np.ndarray | None) -> float:
     """Self-interaction surcharge sum of w_i^2 k(diam_i); +inf if unknown."""
-    if weights.size == 0:
-        return 0.0
     if diam is None:
         return math.inf
-    return float(np.sum(weights**2 * _kern2d(diam)))
+    return float(np.sum(weights**2 * _kern2d(diam.copy())))
 
 
 def _family_schedule(kind: str) -> tuple:
@@ -378,19 +388,13 @@ def _family_schedule(kind: str) -> tuple:
     return tuple(n for n in FAMILY_SCHEDULE if n * per_atom <= _MAX_ATOMS)
 
 
-def _refined(P: PlanarMeasure, n: int) -> PlanarMeasure | None:
-    """Rebuild the cloud at refinement level n from its provenance."""
-    prov = P.provenance
-    kind = prov.get("kind")
-    if kind == PROV_CIRCLE:
-        return circle_measure(n)
-    if kind == PROV_DIRAC:
-        return P
-    if kind == PROV_LINE:
-        return line_measure(prov["cdf"], n)
-    if kind == PROV_BLOB:
-        return blob_approximation(prov["profile"], n, prov["radius"])
-    return None
+# Rebuilds a cloud at refinement level n from its provenance, per kind.
+_REFINE = {
+    PROV_CIRCLE: lambda P, n: circle_measure(n),
+    PROV_DIRAC: lambda P, n: P,
+    PROV_LINE: lambda P, n: line_measure(P.provenance["cdf"], n),
+    PROV_BLOB: lambda P, n: blob_approximation(P.provenance["profile"], n, P.provenance["radius"]),
+}
 
 
 def energy_planar(P: PlanarMeasure) -> EnergyEstimate:
@@ -409,7 +413,7 @@ def energy_planar(P: PlanarMeasure) -> EnergyEstimate:
     if P.n_atoms == 0:
         raise EmptyMeasure("planar energy needs at least one atom")
     kind = P.provenance.get("kind")
-    levels: tuple = _family_schedule(kind) if _refined(P, FAMILY_SCHEDULE[0]) is not None else (None,)
+    levels: tuple = _family_schedule(kind) if kind in _REFINE else (None,)
     trace = []
     prev = None
     drift = math.inf
@@ -417,7 +421,7 @@ def energy_planar(P: PlanarMeasure) -> EnergyEstimate:
     sur = math.inf
     upper = math.inf
     for lev in levels:
-        Q = P if lev is None else _refined(P, lev)
+        Q = P if lev is None else _REFINE[kind](P, lev)
         lower = _pair_lower(Q.points, Q.weights)
         sur = _surcharge(Q.weights, Q.cell_diameters)
         upper = lower + sur
@@ -529,59 +533,55 @@ def radial_inequality_check(P: PlanarMeasure, x0) -> dict:
     only bitwise-equal radii collapse, so genuinely coincident projections
     (exact symmetry, duplicated atoms) register as k(0) = +inf while radii
     separated by rounding noise stay distinct and keep the bracket finite.
+
+    One pass over the pair blocks of _pair_lower makes the check and both sums.
     """
     if P.n_atoms == 0:
         raise EmptyMeasure("radial inequality check needs at least one atom")
     r = np.hypot(P.points[:, 0] - float(x0[0]), P.points[:, 1] - float(x0[1]))
-    proj = np.column_stack((r, np.zeros_like(r)))
-    n = P.n_atoms
-    cols = np.arange(n)[None, :]
     holds = True
+    lhs = rhs = 0.0
     # Distance domination |r_i - r_j| <= |x_i - x_j| implies the kernel
     # claim because the kernel is nonincreasing, so compare distances: on
     # the log scale a one-ulp distance flip near zero would look like a
-    # large kernel violation.
+    # large kernel violation.  The comparison is symmetric in i and j, so
+    # the j <= i entries of a block repeat pairs already checked.
     slack = 4.0 * np.finfo(float).eps
-    for i0 in range(0, n, _PAIR_CHUNK):
-        i1 = min(i0 + _PAIR_CHUNK, n)
-        dx = P.points[i0:i1, 0:1] - P.points[None, :, 0]
-        dy = P.points[i0:i1, 1:2] - P.points[None, :, 1]
-        s_xy = np.hypot(dx, dy)
-        s_r = np.abs(r[i0:i1, None] - r[None, :])
-        allowed = s_xy + slack * (r[i0:i1, None] + r[None, :])
-        rows = np.arange(i0, i1)[:, None]
-        if not bool(np.all(np.where(cols > rows, s_r <= allowed, True))):
-            holds = False
-            break
-    lhs = _pair_lower(P.points, P.weights)
-    rhs = _pair_lower(proj, P.weights)
-    return {"lhs_lower": lhs, "rhs_lower": rhs, "holds_pointwise": holds}
+    for i0, dx, dy in _pair_blocks(P.points):
+        s_xy = np.hypot(dx, dy, out=dx)
+        r_rows, r_cols = r[i0:i0 + len(dx), None], r[None, i0:]
+        s_r = np.abs(np.subtract(r_rows, r_cols, out=dy), out=dy)
+        holds = holds and bool(np.all(s_r <= s_xy + slack * (r_rows + r_cols)))
+        lhs += _block_pair_sum(s_xy, P.weights, i0)
+        rhs += _block_pair_sum(s_r, P.weights, i0)
+    return {"lhs_lower": 2.0 * lhs, "rhs_lower": 2.0 * rhs, "holds_pointwise": holds}
 
 
 def biot_savart(P: PlanarMeasure, grid: GridSpec) -> VelocityField:
-    """u(g) = sum_i w_i (g - x_i)^perp / (2 pi |g - x_i|^2) on cell centers."""
+    """u(g) = sum_i w_i (g - x_i)^perp / (2 pi |g - x_i|^2) on cell centers.
+
+    Swept in cache-sized blocks of whole grid rows, with no BLAS call.
+    """
     if P.n_atoms == 0:
         raise EmptyMeasure("velocity field needs at least one atom")
     xs, ys = grid.centers()
     sep_floor = 1e-12 * min(grid.hx, grid.hy)
-    ax = P.points[:, 0][None, None, :]
-    ay = P.points[:, 1][None, None, :]
-    ws = P.weights
+    dx = xs[:, None] - P.points[None, :, 0]
+    dx2 = dx * dx
+    ws = P.weights / (2.0 * math.pi)
     values = np.empty((grid.ny, grid.nx, 2), dtype=float)
-    rows_per = max(1, 4_000_000 // max(1, grid.nx * P.n_atoms))
-    inv_2pi = 1.0 / (2.0 * math.pi)
+    rows_per = max(1, _BLOCK_ELEMENTS // (grid.nx * P.n_atoms))
     for j0 in range(0, grid.ny, rows_per):
         j1 = min(j0 + rows_per, grid.ny)
-        dx = xs[None, :, None] - ax
-        dy = ys[j0:j1, None, None] - ay
-        d2 = dx * dx + dy * dy
+        ndy = P.points[None, :, 1] - ys[j0:j1, None]  # -(y - y_i)
+        d2 = dx2 + (ndy * ndy)[:, None, :]
         if float(np.min(d2)) < sep_floor * sep_floor:
             raise AtomOnGrid(
                 f"an atom sits within {sep_floor:.3e} of a velocity sample"
             )
-        inv = inv_2pi / d2
-        values[j0:j1, :, 0] = -(dy * inv) @ ws
-        values[j0:j1, :, 1] = (dx * inv) @ ws
+        scaled = np.divide(ws, d2, out=d2)
+        values[j0:j1, :, 0] = np.einsum("rxn,rn->rx", scaled, ndy)
+        values[j0:j1, :, 1] = np.einsum("rxn,xn->rx", scaled, dx)
     return VelocityField(xs, ys, values, grid.hx, grid.hy)
 
 

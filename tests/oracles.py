@@ -287,6 +287,54 @@ def staircase_llogl_oracle(gamma: float, n_max: int = 50) -> float:
 
 
 # ----------------------------------------------------------------------
+# Planar pair sums and Biot-Savart velocities, one term at a time.
+
+
+def pair_lower_oracle(points, weights) -> float:
+    """2 sum_{i<j} w_i w_j max(-ln|x_i - x_j|, 0), +inf on coincident atoms.
+
+    Visits each unordered pair once in plain Python and adds the terms with
+    math.fsum, so the only rounding is in the terms themselves.
+    """
+    pts = [(float(x), float(y)) for x, y in points]
+    ws = [float(w) for w in weights]
+    terms = []
+    for i, (xi, yi) in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            d = math.hypot(xi - pts[j][0], yi - pts[j][1])
+            if d == 0.0:
+                return math.inf
+            terms.append(ws[i] * ws[j] * max(-math.log(d), 0.0))
+    return 2.0 * math.fsum(terms)
+
+
+def biot_savart_oracle(points, weights, xs, ys) -> tuple:
+    """Velocity u(g) = sum_i w_i (g - x_i)^perp / (2 pi |g - x_i|^2), atom by atom.
+
+    Returns (values, scale) with values[j, i] = u(xs[i], ys[j]) and scale the
+    sum of the term sizes w_i / (2 pi |g - x_i|).  Each atom's terms are
+    computed on the whole grid, and each cell's terms are added with
+    math.fsum.
+    """
+    gx, gy = np.meshgrid(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+    ux, uy, sizes = [], [], []
+    for (px, py), w in zip(np.asarray(points, dtype=float), weights):
+        dx, dy = gx - px, gy - py
+        d2 = dx * dx + dy * dy
+        ux.append(-w * dy / (2.0 * math.pi * d2))
+        uy.append(w * dx / (2.0 * math.pi * d2))
+        sizes.append(w / (2.0 * math.pi * np.sqrt(d2)))
+    cells = gx.size
+
+    def fsum_cells(terms):
+        cols = np.stack(terms).reshape(len(terms), cells).T
+        return np.array([math.fsum(c) for c in cols]).reshape(gx.shape)
+
+    values = np.stack((fsum_cells(ux), fsum_cells(uy)), axis=-1)
+    return values, fsum_cells(sizes)
+
+
+# ----------------------------------------------------------------------
 # Point-vortex kinetic energy over an annulus.
 
 

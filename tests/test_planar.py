@@ -1,8 +1,13 @@
 """Planar measures: radial reduction, energy families, velocity fields."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import logmeasure.planar as planar_mod
 
 from logmeasure import (
     AtomOnGrid,
@@ -33,12 +38,20 @@ from logmeasure import (
 from oracles import (
     annulus_kinetic_oracle,
     arcsin_profile_oracle,
+    biot_savart_oracle,
     circle_energy_bruteforce_oracle,
     circle_energy_limit_oracle,
     circle_r2_moment_oracle,
+    pair_lower_oracle,
 )
 
 TWO_PI = 2.0 * math.pi
+EPS = np.finfo(float).eps
+
+
+def random_cloud(n, half_width, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-half_width, half_width, (n, 2)), rng.uniform(0.1, 1.0, n)
 
 
 class TestConstructors:
@@ -174,6 +187,36 @@ class TestRadialInequality:
         assert res["holds_pointwise"]
 
 
+class TestPairSums:
+    """_pair_lower against the term-by-term oracle.  The sizes straddle the
+    row-block length _PAIR_CHUNK = 512, whose blocks visit only j >= i0."""
+
+    # half width 3: most pairs are more than 1 apart and their terms vanish
+    @pytest.mark.parametrize("n,half_width", [
+        (1, 0.5), (2, 0.5), (3, 0.5), (511, 0.5), (512, 0.5), (513, 0.5), (1100, 0.5),
+        (700, 3.0),
+    ])
+    def test_matches_bruteforce(self, n, half_width):
+        pts, ws = random_cloud(n, half_width, seed=n)
+        want = pair_lower_oracle(pts, ws)
+        # summed in blocks, rows, then vector lanes: n eps per term bounds
+        # the accumulation error of nonnegative terms
+        assert abs(planar_mod._pair_lower(pts, ws) - want) <= 4 * n * EPS * want
+
+    def test_coincident_pair_in_last_block_is_infinite(self):
+        pts, ws = random_cloud(1100, 0.5, seed=11)
+        pts[1099] = pts[1030]  # both rows in the last block [1024, 1100)
+        assert planar_mod._pair_lower(pts, ws) == math.inf
+        assert pair_lower_oracle(pts, ws) == math.inf
+
+    def test_halved_cloud_sums_no_smaller(self):
+        # halving is exact and shrinks every distance, so every term grows;
+        # equal lengths are summed in the same order across the block
+        # boundaries, so the sums are ordered with no tolerance
+        pts, ws = random_cloud(1100, 2.0, seed=13)
+        assert planar_mod._pair_lower(0.5 * pts, ws) >= planar_mod._pair_lower(pts, ws)
+
+
 class TestEnergyFamilies:
     def test_circle_family_frozen(self):
         est = energy_planar(circle_measure(64))
@@ -269,6 +312,23 @@ class TestVelocity:
         with pytest.raises(AtomOnGrid):
             biot_savart(dirac_at((0.0, 0.0)), GridSpec(-1.0, -1.0, 1.0, 1.0, 1, 1))
 
+    def test_atom_on_node_in_last_row_block_rejected(self):
+        g = GridSpec(-1.1, -1.1, 1.1, 1.1, 440, 440)
+        xs, ys = g.centers()
+        assert planar_mod._BLOCK_ELEMENTS // g.nx < g.ny - 1  # several row blocks
+        with pytest.raises(AtomOnGrid):
+            biot_savart(dirac_at((xs[7], ys[-1])), g)
+
+    def test_blob_matches_per_atom_oracle(self):
+        prof = radial_cdf(dirac_at((0.01, -0.02)), (0.01, -0.02))
+        B = blob_approximation(prof, 64, 0.07)
+        g = GridSpec(-1.1, -1.1, 1.1, 1.1, 37, 29)
+        # the last row block is a partial one
+        assert (g.nx * g.ny * B.n_atoms) % planar_mod._BLOCK_ELEMENTS != 0
+        want, scale = biot_savart_oracle(B.points, B.weights, *g.centers())
+        err = np.abs(biot_savart(B, g).values - want)
+        assert np.all(err <= 1e-13 * scale[..., None])
+
     def test_grid_validation(self):
         with pytest.raises(BadParams):
             GridSpec(0.0, 0.0, 1.0, 1.0, 0, 4)
@@ -314,3 +374,24 @@ class TestVelocity:
             local_kinetic_energy(u, (0.0, 0.0), 0.1, 0.5)
         with pytest.raises(RegionOutsideGrid):
             local_kinetic_energy(u, (0.0, 0.0), 5.0)
+
+
+def test_results_do_not_depend_on_blas_threads():
+    code = (
+        "import logmeasure as lm\n"
+        "prof = lm.radial_cdf(lm.dirac_at((0.0, 0.0)), (0.0, 0.0))\n"
+        "blob = lm.blob_approximation(prof, 8, 0.1)\n"
+        "assert blob.n_atoms == 64\n"
+        "u = lm.biot_savart(blob, lm.GridSpec(-1.1, -1.1, 1.1, 1.1, 64, 64))\n"
+        "print(repr(u.values.tolist()))\n"
+        "print(repr(lm.energy_planar(lm.circle_measure(64))))\n"
+        "print(repr(lm.radial_inequality_check(lm.circle_measure(256), (1.0, 0.0))))\n"
+    )
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        r = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, check=True)
+        outs.append(r.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count("\n") == 3
