@@ -266,10 +266,6 @@ class IntervalList:
     def width(self) -> float:
         return math.exp(self.width_log)
 
-    def pairs(self):
-        """(lo, width_log) pairs, the canonical export form."""
-        return [(lo, self.width_log) for lo in self.los]
-
 
 def cantor_intervals(spec: CantorSpec, n: int,
                      level_budget: int = INTERVAL_LEVEL_BUDGET) -> IntervalList:
@@ -296,7 +292,7 @@ def cantor_intervals(spec: CantorSpec, n: int,
         los[1::2] += offset
         scale *= c
     width_log = math.fsum(spec.ratio_logs[:n])
-    return IntervalList(n, tuple(float(v) for v in los), width_log)
+    return IntervalList(n, tuple(los.tolist()), width_log)
 
 
 # ----------------------------------------------------------------------

@@ -70,11 +70,8 @@ _FAMILY_FROM_NAME = {v: k for k, v in _FAMILY_NAMES.items()}
 
 
 def _fmt(x: float) -> str:
-    """A double as a 17-significant-digit token (round-trips exactly)."""
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+    """A double as a 17-significant-digit token (round-trips exactly);
+    non-finite values print as nan, inf and -inf."""
     return format(float(x), ".17g")
 
 
@@ -293,30 +290,50 @@ def planar_to_json(P: PlanarMeasure) -> dict:
 # Reports
 
 
+# Rows per %-operation in _rows_csv: enough to amortise the per-block cost,
+# few enough that a block's argument tuple and text stay a few hundred KB.
+_BLOCK_ROWS = 4096
+
+
+def _rows_csv(header: str, row: str, columns) -> str:
+    """The header line, then ``row % (c[i] for c in columns)`` for each i.
+
+    ``row`` is a %-template ending in a newline; columns that are the same
+    on every row belong in it as literal text.  Rows are formatted
+    _BLOCK_ROWS at a time, one %-operation per block.  "%.17g" prints
+    every double as _fmt does.
+    """
+    k, n = len(columns), len(columns[0])
+    flat = [None] * (k * min(n, _BLOCK_ROWS))
+    out = [header]
+    for a in range(0, n, _BLOCK_ROWS):
+        m = min(_BLOCK_ROWS, n - a)
+        del flat[k * m:]
+        for j, col in enumerate(columns):
+            flat[j::k] = col[a:a + m]
+        out.append((row * m) % tuple(flat))
+    return "".join(out)
+
+
 def trace_csv(trace) -> str:
     """Refinement trace as CSV with header n,lower,upper."""
-    lines = ["n,lower,upper"]
-    for n, lo, up in trace:
-        lines.append(f"{int(n)},{_fmt(lo)},{_fmt(up)}")
-    return "\n".join(lines) + "\n"
+    columns = tuple(zip(*trace)) or ((), (), ())
+    return _rows_csv("n,lower,upper\n", "%d,%.17g,%.17g\n", columns)
 
 
 def intervals_csv(il: IntervalList) -> str:
     """Surviving construction intervals as CSV (level,index,lo,width_log)."""
-    lines = ["level,index,lo,width_log"]
-    for index, lo in enumerate(il.los):
-        lines.append(f"{il.level},{index},{_fmt(lo)},{_fmt(il.width_log)}")
-    return "\n".join(lines) + "\n"
+    row = f"{il.level},%d,%.17g,{_fmt(il.width_log)}\n"
+    return _rows_csv("level,index,lo,width_log\n", row, (range(il.count), il.los))
 
 
 def velocity_csv(field: VelocityField) -> str:
     """Velocity samples as CSV (x,y,ux,uy), row-major over the grid."""
-    lines = ["x,y,ux,uy"]
-    for iy, y in enumerate(field.ys):
-        for ix, x in enumerate(field.xs):
-            ux, uy = field.values[iy, ix]
-            lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(ux)},{_fmt(uy)}")
-    return "\n".join(lines) + "\n"
+    nx, ny = len(field.xs), len(field.ys)
+    uv = field.values.reshape(nx * ny, 2)
+    columns = (np.tile(field.xs, ny).tolist(), np.repeat(field.ys, nx).tolist(),
+               uv[:, 0].tolist(), uv[:, 1].tolist())
+    return _rows_csv("x,y,ux,uy\n", "%.17g,%.17g,%.17g,%.17g\n", columns)
 
 
 def table_csv(columns, rows) -> str:

@@ -371,6 +371,47 @@ def general_ratio_log_oracle(n: int, beta: float) -> float:
     return -(2.0 ** (n / beta)) + 2.0 ** ((n - 1) / beta)
 
 
+# ----------------------------------------------------------------------
+# Reference CSV writers: one row at a time, each float through fmt_reference.
+# The library's writers must produce exactly this text.
+
+
+def fmt_reference(x: float) -> str:
+    """A double as a 17-significant-digit token (round-trips exactly)."""
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return format(float(x), ".17g")
+
+
+def trace_csv_reference(trace) -> str:
+    """Refinement trace as CSV with header n,lower,upper."""
+    lines = ["n,lower,upper"]
+    for n, lo, up in trace:
+        lines.append(f"{int(n)},{fmt_reference(lo)},{fmt_reference(up)}")
+    return "\n".join(lines) + "\n"
+
+
+def intervals_csv_reference(il) -> str:
+    """Surviving construction intervals as CSV (level,index,lo,width_log)."""
+    lines = ["level,index,lo,width_log"]
+    for index, lo in enumerate(il.los):
+        lines.append(f"{il.level},{index},{fmt_reference(lo)},{fmt_reference(il.width_log)}")
+    return "\n".join(lines) + "\n"
+
+
+def velocity_csv_reference(field) -> str:
+    """Velocity samples as CSV (x,y,ux,uy), row-major over the grid."""
+    lines = ["x,y,ux,uy"]
+    for iy, y in enumerate(field.ys):
+        for ix, x in enumerate(field.xs):
+            ux, uy = field.values[iy, ix]
+            lines.append(f"{fmt_reference(x)},{fmt_reference(y)},"
+                         f"{fmt_reference(ux)},{fmt_reference(uy)}")
+    return "\n".join(lines) + "\n"
+
+
 if __name__ == "__main__":
     print("uniform energy (n=2048):", uniform_energy_oracle(2048))
     print("uniform energy one-sided identity:", one_sided_uniform_identity())

@@ -1,0 +1,65 @@
+"""tools/bench_pairs.py keeps what it measured when one run fails."""
+import importlib.util
+import json
+import pathlib
+
+TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+# Stands in for lmbench/run.py: one result line, or exit 3 on FAIL_SEED.
+STUB = '''
+import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+if seed == FAIL_SEED:
+    sys.stderr.write("Traceback ...\\nRuntimeError: stub failure on seed %d\\n" % seed)
+    sys.exit(3)
+print(json.dumps({"metrics": {"round_s": {"value": SPEED * seed, "unit": "s"}},
+                  "failed": 0, "attempted": 24}))
+'''
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _checkout(root: pathlib.Path, name: str, speed: float, fail_seed: int) -> str:
+    (root / name / "lmbench").mkdir(parents=True)
+    (root / name / "lmbench" / "run.py").write_text(
+        STUB.replace("FAIL_SEED", str(fail_seed)).replace("SPEED", str(speed)))
+    return str(root / name)
+
+
+def test_failed_run_keeps_earlier_pairs(tmp_path):
+    out = tmp_path / "bench.json"
+    code = _bench_pairs().main([
+        "--parent", _checkout(tmp_path, "parent", 1.0, fail_seed=12),
+        "--change", _checkout(tmp_path, "change", 0.5, fail_seed=-1),
+        "--workload", "w", "--seeds", "11-14", "--seconds", "1", "--out", str(out)])
+    assert code == 1
+    record = json.loads(out.read_text())["workloads"]["w"]
+    first, failing = record["pairs"]
+    assert first["parent"]["metrics"]["round_s"]["value"] == 11.0
+    assert first["change"]["metrics"]["round_s"]["value"] == 5.5
+    # seed 12 runs the change first, then the parent, which fails
+    assert failing["change"]["metrics"]["round_s"]["value"] == 6.0
+    assert failing["parent"]["exit_code"] == 3
+    assert "stub failure on seed 12" in failing["parent"]["stderr_tail"]
+    assert "metrics" not in failing["parent"]
+    assert record["incomplete"] == "parent run on seed 12 exited 3"
+    assert "end_to_end" not in record
+
+
+def test_complete_run_summarises_every_pair(tmp_path):
+    out = tmp_path / "bench.json"
+    code = _bench_pairs().main([
+        "--parent", _checkout(tmp_path, "parent", 1.0, fail_seed=-1),
+        "--change", _checkout(tmp_path, "change", 0.5, fail_seed=-1),
+        "--workload", "w", "--seeds", "1-4", "--seconds", "1", "--out", str(out)])
+    assert code == 0
+    record = json.loads(out.read_text())["workloads"]["w"]
+    assert len(record["pairs"]) == 4
+    assert "incomplete" not in record
+    assert record["end_to_end"]["round_s"]["change_lower_in_pairs"] == 4
+    assert record["failed_share"]["parent"] == ["0/24"] * 4

@@ -7,7 +7,18 @@ import sys
 
 import pytest
 
+from logmeasure import io as lio
+from logmeasure.fractal import cantor_intervals, standard_cantor_spec
+from logmeasure.planar import GridSpec, biot_savart
+from oracles import intervals_csv_reference, velocity_csv_reference
+
 CORPUS = pathlib.Path(__file__).parent / "corpus"
+
+
+def _lines(text: str) -> list:
+    """The text's lines with their endings: equal lists mean equal texts, and
+    pytest reports the first differing line of a large CSV quickly."""
+    return text.splitlines(keepends=True)
 
 
 def run_cli(*args):
@@ -158,6 +169,15 @@ class TestCantorCommand:
         assert rows[0] == "level,index,lo,width_log"
         assert len(rows) == 65
 
+    def test_intervals_match_reference_writer(self, tmp_path):
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps(
+            {"kind": "cantor", "family": "standardK", "K": 3.0, "depth": 30}))
+        r = run_cli("cantor", "--config", cfg, "--depth", 13, "--out-dir", tmp_path)
+        assert r.returncode == 0
+        expected = intervals_csv_reference(cantor_intervals(standard_cantor_spec(3.0), 13))
+        assert _lines((tmp_path / "intervals.csv").read_text()) == _lines(expected)
+
     def test_config_required(self, tmp_path):
         r = run_cli("cantor", "--out-dir", tmp_path)
         assert r.returncode == 1
@@ -199,6 +219,14 @@ class TestVelocityCommand:
         rows = (tmp_path / "velocity.csv").read_text().splitlines()
         assert rows[0] == "x,y,ux,uy"
         assert len(rows) == 32 * 32 + 1
+
+    def test_default_grid_matches_reference_writer(self, tmp_path):
+        r = run_cli("velocity", "--measure", CORPUS / "dirac.json", "--out-dir", tmp_path)
+        assert r.returncode == 0
+        P = lio.planar_from_json(json.loads((CORPUS / "dirac.json").read_text()))
+        field = biot_savart(P, GridSpec(-2.0, -2.0, 2.0, 2.0, 160, 160))
+        assert _lines((tmp_path / "velocity.csv").read_text()) == \
+            _lines(velocity_csv_reference(field))
 
 
 class TestDimensionCommand:

@@ -32,7 +32,20 @@ from logmeasure.planar import (
     planar_measure,
 )
 
+from oracles import (
+    fmt_reference,
+    intervals_csv_reference,
+    trace_csv_reference,
+    velocity_csv_reference,
+)
+
 CORPUS = pathlib.Path(__file__).parent / "corpus"
+
+
+def _lines(text: str) -> list:
+    """The text's lines with their endings: equal lists mean equal texts, and
+    pytest reports the first differing line of a large CSV quickly."""
+    return text.splitlines(keepends=True)
 
 
 class TestDumps:
@@ -49,10 +62,12 @@ class TestDumps:
             assert float(doc["x"]) == x
 
     def test_nonfinite_as_strings(self):
-        s = lio.dumps({"v": math.inf, "w": -math.inf, "n": math.nan, "x": 1.5})
+        s = lio.dumps({"v": math.inf, "w": -math.inf, "n": math.nan, "m": -math.nan,
+                       "x": 1.5})
         assert '"v": "inf"' in s
         assert '"w": "-inf"' in s
         assert '"n": "nan"' in s
+        assert '"m": "nan"' in s
 
     def test_numpy_values(self):
         s = lio.dumps({"a": np.float64(0.5), "b": np.int64(3),
@@ -173,11 +188,10 @@ class TestCSV:
 
     def test_intervals_csv(self):
         ints = cantor_intervals(standard_cantor_spec(3.0), 1)
-        out = lio.intervals_csv(ints)
-        lines = out.strip().split("\n")
-        assert lines[0] == "level,index,lo,width_log"
-        assert len(lines) == 3
-        assert lines[1].startswith("1,0,0,")
+        assert lio.intervals_csv(ints) == (
+            "level,index,lo,width_log\n"
+            "1,0,0,-1.0986122886681098\n"
+            "1,1,0.66666666666666674,-1.0986122886681098\n")
 
     def test_velocity_csv(self):
         field = biot_savart(dirac_at((0.0, 0.0)), GridSpec(0.5, -0.5, 1.5, 0.5, 1, 1))
@@ -189,6 +203,45 @@ class TestCSV:
     def test_table_csv_formats(self):
         out = lio.table_csv(["a", "b", "c"], [[1, 0.5, True], [2, math.inf, False]])
         assert out == "a,b,c\n1,0.5,true\n2,inf,false\n"
+
+
+class TestCSVMatchesReference:
+    """The block-row writers print exactly what the row-at-a-time reference
+    writers print.  Level 12 is one full 4096-row block; level 13 two."""
+
+    @pytest.mark.parametrize("level", [0, 1, 11, 12, 13])
+    @pytest.mark.parametrize("spec", [
+        standard_cantor_spec(2.5), standard_cantor_spec(3.0), standard_cantor_spec(9.0),
+        general_ratio_spec(1.5), general_ratio_spec(2.0), general_ratio_spec(3.0),
+    ], ids=["K2.5", "K3", "K9", "beta1.5", "beta2", "beta3"])
+    def test_intervals(self, spec, level):
+        ints = cantor_intervals(spec, level)
+        assert _lines(lio.intervals_csv(ints)) == _lines(intervals_csv_reference(ints))
+
+    @pytest.mark.parametrize("nx,ny", [(37, 29), (70, 70)])
+    def test_velocity_with_special_values(self, nx, ny):
+        field = biot_savart(dirac_at((0.1, -0.2)), GridSpec(-1.0, -1.5, 2.0, 1.0, nx, ny))
+        field.values[0, 0] = (math.nan, -math.inf)
+        field.values[ny // 2, nx - 1] = (-0.0, 5e-324)
+        field.values[ny - 1, nx - 1] = (math.inf, -1e308)
+        out = lio.velocity_csv(field)
+        assert _lines(out) == _lines(velocity_csv_reference(field))
+        assert out.count("\n") == nx * ny + 1
+
+    def test_trace_with_infinite_bounds(self):
+        trace = ((16, 0.5, math.inf), (32, 0.75, math.inf), (64, -math.inf, 1.25))
+        out = lio.trace_csv(trace)
+        assert out == trace_csv_reference(trace)
+        assert out == "n,lower,upper\n16,0.5,inf\n32,0.75,inf\n64,-inf,1.25\n"
+
+    def test_empty_trace_is_header_only(self):
+        assert lio.trace_csv(()) == trace_csv_reference(()) == "n,lower,upper\n"
+
+    @pytest.mark.parametrize("x", [
+        math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e308,
+        np.float32(0.1), 1.0 / 3.0])
+    def test_fmt(self, x):
+        assert lio._fmt(x) == fmt_reference(x)
 
 
 class TestCannedCorpus:

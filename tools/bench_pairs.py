@@ -13,6 +13,11 @@ record for the workload (every run's result line; median and quartiles of
 each end-to-end metric per side; the pairs the change won; the per-layer
 metrics of the traced runs) is merged into ``--out`` with the core count
 and the library versions.  Run it on an otherwise idle machine.
+
+A run that exits non-zero ends the measurement: its exit code and the tail
+of its stderr go into its pair (or traced entry) in place of a result, the
+record so far is written to ``--out`` (with no summaries if a pair failed)
+and the script exits 1.
 """
 from __future__ import annotations
 
@@ -27,11 +32,40 @@ import sys
 import numpy
 
 
+STDERR_TAIL = 2000
+
+
 def run(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The run's result line, or its exit code and stderr tail if it failed."""
     cmd = [sys.executable, "lmbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if out.returncode != 0:
+        return {"exit_code": out.returncode, "stderr_tail": out.stderr[-STDERR_TAIL:]}
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def save(path: str, workload: str, record: dict) -> None:
+    """Merge the workload's record into the JSON file at ``path``."""
+    doc = {}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    doc["machine"] = {"cores": os.cpu_count(), "python": platform.python_version(),
+                      "numpy": numpy.__version__, "OPENBLAS_NUM_THREADS": "1 (set by lmbench)"}
+    doc.setdefault("workloads", {})[workload] = record
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def failed(res: dict, record: dict, seed: int, side: str) -> bool:
+    """Whether the run failed; if so, mark the record incomplete."""
+    if "exit_code" not in res:
+        return False
+    record["incomplete"] = f"{side} run on seed {seed} exited {res['exit_code']}"
+    print(record["incomplete"], res["stderr_tail"], sep="\n", file=sys.stderr)
+    return True
 
 
 def spread(values: list) -> dict:
@@ -53,15 +87,19 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent, "change": args.change}
 
     pairs = []
+    record = {"seconds": args.seconds, "pairs": pairs}
     for k, seed in enumerate(range(first, last + 1)):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
+        pairs.append(pair)
         for side in order:
             pair[side] = run(sides[side], args.workload, seed, args.seconds, 0)
+            if failed(pair[side], record, seed, side):
+                save(args.out, args.workload, record)
+                return 1
             print(seed, side, json.dumps(pair[side]["metrics"]), flush=True)
-        pairs.append(pair)
 
-    record = {"seconds": args.seconds, "pairs": pairs, "end_to_end": {}}
+    record["end_to_end"] = {}
     for metric in pairs[0]["parent"]["metrics"]:
         vals = {s: [p[s]["metrics"][metric]["value"] for p in pairs] for s in sides}
         record["end_to_end"][metric] = {
@@ -72,25 +110,20 @@ def main(argv=None) -> int:
         s: [f"{p[s]['failed']}/{p[s]['attempted']}" for p in pairs] for s in sides}
 
     traced = {s: [] for s in sides}
+    if args.traced:
+        record["traced"] = traced
     for k in range(args.traced):
         seed = last + 1 + k
         for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
             res = run(sides[side], args.workload, seed, args.seconds, 1)
+            if failed(res, record, seed, side):
+                traced[side].append({"seed": seed, **res})
+                save(args.out, args.workload, record)
+                return 1
             traced[side].append({"seed": seed, "metrics": {
                 name: m["value"] for name, m in res["metrics"].items()}})
-    if args.traced:
-        record["traced"] = traced
 
-    doc = {}
-    if os.path.exists(args.out):
-        with open(args.out, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    doc["machine"] = {"cores": os.cpu_count(), "python": platform.python_version(),
-                      "numpy": numpy.__version__, "OPENBLAS_NUM_THREADS": "1 (set by lmbench)"}
-    doc.setdefault("workloads", {})[args.workload] = record
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    save(args.out, args.workload, record)
     return 0
 
 
