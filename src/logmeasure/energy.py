@@ -98,8 +98,10 @@ _CENTROID_POINTS = 256
 _NEAR_CENTROID_POINTS = 16
 # Cap on the one-sided engine's adaptive inner y-grid size.
 _MAX_INNER_GRID = 8192
-# Points per side in one block of the one-sided engine's column sums.
-_COLUMN_BLOCK_POINTS = 1 << 20
+# Points per evaluator call in the one-sided column sums (per side) and in
+# the centroid grids: about what keeps the evaluator's per-level temporaries
+# inside a 4 MiB L2 cache.
+_EVAL_BLOCK_POINTS = 1 << 15
 # Fraction of total mass below which a resolution-floor-width cell is not
 # treated as an atom (its diagonal term is then provably negligible).
 _ATOM_MASS_FRACTION = 1e-6
@@ -150,6 +152,13 @@ def _kern(arr: np.ndarray) -> np.ndarray:
         return np.maximum(-np.log(arr), 0.0)
 
 
+def _kern_inplace(arr: np.ndarray) -> np.ndarray:
+    """_kern written over arr, for callers that already ignore divide."""
+    np.log(arr, out=arr)
+    np.negative(arr, out=arr)
+    return np.maximum(arr, 0.0, out=arr)
+
+
 def holder_energy_bound(K: float, alpha: float, mass: float) -> float:
     """2 (K / alpha) * mass — energy bound for a (K, alpha)-Holder CDF."""
     if not (0.0 < alpha <= 1.0):
@@ -180,8 +189,9 @@ def _centroid_brackets(F: MonotoneCDF, bounds: np.ndarray, fvals: np.ndarray, R:
     masses = np.diff(fvals)
     t = np.arange(1, R, dtype=float) / R
     inner = np.empty(n)
-    # chunked so the (cells x points) grid stays near 2^20 evaluations
-    step = max(1, 2**20 // R)
+    # chunked so each evaluator call takes at most _EVAL_BLOCK_POINTS points;
+    # every centroid is a sum over its own row, whatever the chunk
+    step = max(1, _EVAL_BLOCK_POINTS // R)
     for a in range(0, n, step):
         b = min(n, a + step)
         grid = bounds[a:b, None] + widths[a:b, None] * t[None, :]
@@ -219,43 +229,70 @@ def _bracket_sums(bounds, masses, cents, lag_lo: int, lag_hi: int, keep=None):
     keep(L), when given, returns the indices i of the pairs (i, i+L) to
     count at lag L, or None to count all of them.  Returns ordered per-lag
     partial sums (factor 2 for the two orderings of each pair included).
-    The dot products use np.einsum, which never calls BLAS, so the sums do
-    not depend on the BLAS thread count.
+
+    The work buffers are allocated once per call, every pass writes into
+    them with ``out=`` (the span kernels in a ring of three rows, so that
+    lag L-2's row is still intact at lag L), and np.errstate is entered once.
+    Each pair still goes through the same sequence of ufuncs as with fresh
+    temporaries, and each lag's sums are the same two np.einsum reductions
+    over contiguous rows, so the sums are bit-identical to an unbuffered
+    loop.  np.einsum never calls BLAS, so they do not depend on the BLAS
+    thread count either.
     """
     c_lo, c_hi = cents
     lows, ups = [], []
     n = masses.size
-    cache = {}
-    for L in range(lag_lo, min(lag_hi, n)):
-        span = bounds[L + 1 :] - bounds[: n - L]
-        ks = _kern(np.maximum(span, _TINY))
-        cache[L] = ks
-        kg = cache.pop(L - 2, None)
-        if L >= 2:
-            gap = bounds[L:n] - bounds[1 : n - L + 1]
-            kg = _kern(np.maximum(gap, _TINY)) if kg is None else kg[1 : n - L + 1]
-        else:
-            wc = np.maximum(np.diff(bounds), _TINY)
-            kg = _kern(np.maximum(wc[: n - 1], wc[1:]))
-        # kg[0] first: the full scan runs only once one gap is out of range
-        if L >= 2 and kg[0] <= 0.0 and float(np.max(kg)) <= 0.0:
-            break
-        mm = masses[: n - L] * masses[L:]
-        d_hi = c_hi[L:] - c_lo[: n - L]
-        d_lo = c_lo[L:] - c_hi[: n - L]
-        idx = keep(L) if keep is not None else None
-        if idx is not None:
-            mm, span, ks, kg, d_hi, d_lo = mm[idx], span[idx], ks[idx], kg[idx], d_hi[idx], d_lo[idx]
+    lags = range(lag_lo, min(lag_hi, n))
+    if not lags:
+        return lows, ups
+    width = n - lags[0]
+    # one row per per-pair array, three ring rows for the span kernels, and
+    # the gathered copies of the pair arrays when pairs are selected
+    rows = np.empty((10, width))
+    span_b, gap_b, kg_b, mm_b, low_b, frac_b, up_b = rows[:7]
+    ring = rows[7:]
+    sub = np.empty((7, width)) if keep is not None else None
+    with np.errstate(divide="ignore"):
+        for L in lags:
+            r = n - L
+            span = np.subtract(bounds[L + 1 :], bounds[:r], out=span_b[:r])
+            ks = _kern_inplace(np.maximum(span, _TINY, out=ring[L % 3][:r]))
             if L >= 2:
-                gap = gap[idx]
-        low = _kern(np.maximum(np.minimum(d_hi, span), _TINY))
-        if L >= 2:
-            frac = (np.maximum(d_lo, gap) - gap) / np.maximum(span - gap, _TINY)
-            up = kg + (ks - kg) * np.minimum(frac, 1.0)
-        else:
-            up = np.maximum(kg, low)
-        lows.append(2.0 * float(np.einsum("i,i->", mm, low)))
-        ups.append(2.0 * float(np.einsum("i,i->", mm, up)))
+                gap = np.subtract(bounds[L:n], bounds[1 : r + 1], out=gap_b[:r])
+                if L - 2 >= lag_lo:
+                    kg = ring[(L - 2) % 3][1 : r + 1]
+                else:
+                    kg = _kern_inplace(np.maximum(gap, _TINY, out=kg_b[:r]))
+            else:
+                gap = None
+                wc = np.maximum(np.diff(bounds), _TINY)
+                kg = _kern_inplace(np.maximum(wc[: n - 1], wc[1:], out=kg_b[:r]))
+            # kg[0] first: the full scan runs only once one gap is out of range
+            if L >= 2 and kg[0] <= 0.0 and float(np.max(kg)) <= 0.0:
+                break
+            mm = np.multiply(masses[:r], masses[L:], out=mm_b[:r])
+            d_hi = np.subtract(c_hi[L:], c_lo[:r], out=low_b[:r])
+            d_lo = np.subtract(c_lo[L:], c_hi[:r], out=frac_b[:r])
+            idx = keep(L) if keep is not None else None
+            if idx is not None:
+                r = idx.size
+                full = (mm, span, ks, kg, d_hi, d_lo) + ((gap,) if L >= 2 else ())
+                picked = [np.take(x, idx, out=row[:r]) for x, row in zip(full, sub)]
+                mm, span, ks, kg, d_hi, d_lo = picked[:6]
+                gap = picked[6] if L >= 2 else None
+            # d_hi becomes the lower kernel, d_lo the chord fraction, and the
+            # chord's denominator the upper kernel
+            low = _kern_inplace(np.maximum(np.minimum(d_hi, span, out=d_hi), _TINY, out=d_hi))
+            if L >= 2:
+                frac = np.subtract(np.maximum(d_lo, gap, out=d_lo), gap, out=d_lo)
+                den = np.maximum(np.subtract(span, gap, out=up_b[:r]), _TINY, out=up_b[:r])
+                frac = np.minimum(np.divide(frac, den, out=frac), 1.0, out=frac)
+                up = np.subtract(ks, kg, out=den)
+                up = np.add(kg, np.multiply(up, frac, out=up), out=up)
+            else:
+                up = np.maximum(kg, low, out=up_b[:r])
+            lows.append(2.0 * float(np.einsum("i,i->", mm, low)))
+            ups.append(2.0 * float(np.einsum("i,i->", mm, up)))
     return lows, ups
 
 
@@ -582,12 +619,14 @@ def energy_one_sided(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureConfig())
 def _column_sums(F, xs, ys):
     """S_j = sum_i D(x_i, y_j) with D(x, y) = F(x+y) - F(x-y).
 
-    F is evaluated on blocks of y columns of at most _COLUMN_BLOCK_POINTS
-    points per side, for memory.  Each S_j is a pairwise row sum over all
-    x_i, so it does not depend on the block size.
+    F is evaluated on blocks of y columns of at most _EVAL_BLOCK_POINTS
+    points per side (a single column when xs alone is larger), so that the
+    evaluator's per-level temporaries stay in cache; larger blocks cost more
+    per point, not less.  Each S_j is a pairwise row sum over all x_i, so it
+    does not depend on the block size.
     """
     out = np.empty(ys.size)
-    block = max(1, _COLUMN_BLOCK_POINTS // max(1, xs.size))
+    block = max(1, _EVAL_BLOCK_POINTS // max(1, xs.size))
     for s in range(0, ys.size, block):
         yc = ys[s : s + block, None]
         D = eval_cdf(F, xs[None, :] + yc) - eval_cdf(F, xs[None, :] - yc)

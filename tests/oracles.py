@@ -129,6 +129,61 @@ def gamma_eval_reference(x, ratios, levels: int) -> np.ndarray:
     return vals.reshape(shape)
 
 
+# The double engine's lag loop as it stood before it ran in reused buffers,
+# kept verbatim (with its two helpers) as the reference for bit-identity.
+
+_TINY = 5e-324
+
+
+def _kern(arr: np.ndarray) -> np.ndarray:
+    """Vectorized kernel on positive distances (caller guarantees s > 0)."""
+    with np.errstate(divide="ignore"):
+        return np.maximum(-np.log(arr), 0.0)
+
+
+def bracket_sums_reference(bounds, masses, cents, lag_lo: int, lag_hi: int, keep=None):
+    """Per-lag lower/upper sums over cell pairs (i, i+L), L in [lag_lo,
+    lag_hi): Jensen at the largest centroid gap below; above, the chord of
+    log+ over [gap, span] at the smallest centroid gap (lag >= 2) or the
+    wider cell's width raised to the lower (lag 1).  keep(L) selects pairs;
+    the loop stops once every gap is beyond kernel range."""
+    c_lo, c_hi = cents
+    lows, ups = [], []
+    n = masses.size
+    cache = {}
+    for L in range(lag_lo, min(lag_hi, n)):
+        span = bounds[L + 1 :] - bounds[: n - L]
+        ks = _kern(np.maximum(span, _TINY))
+        cache[L] = ks
+        kg = cache.pop(L - 2, None)
+        if L >= 2:
+            gap = bounds[L:n] - bounds[1 : n - L + 1]
+            kg = _kern(np.maximum(gap, _TINY)) if kg is None else kg[1 : n - L + 1]
+        else:
+            wc = np.maximum(np.diff(bounds), _TINY)
+            kg = _kern(np.maximum(wc[: n - 1], wc[1:]))
+        # kg[0] first: the full scan runs only once one gap is out of range
+        if L >= 2 and kg[0] <= 0.0 and float(np.max(kg)) <= 0.0:
+            break
+        mm = masses[: n - L] * masses[L:]
+        d_hi = c_hi[L:] - c_lo[: n - L]
+        d_lo = c_lo[L:] - c_hi[: n - L]
+        idx = keep(L) if keep is not None else None
+        if idx is not None:
+            mm, span, ks, kg, d_hi, d_lo = mm[idx], span[idx], ks[idx], kg[idx], d_hi[idx], d_lo[idx]
+            if L >= 2:
+                gap = gap[idx]
+        low = _kern(np.maximum(np.minimum(d_hi, span), _TINY))
+        if L >= 2:
+            frac = (np.maximum(d_lo, gap) - gap) / np.maximum(span - gap, _TINY)
+            up = kg + (ks - kg) * np.minimum(frac, 1.0)
+        else:
+            up = np.maximum(kg, low)
+        lows.append(2.0 * float(np.einsum("i,i->", mm, low)))
+        ups.append(2.0 * float(np.einsum("i,i->", mm, up)))
+    return lows, ups
+
+
 def cantor_ginv_oracle(m: float, n: int = 48, K: float = 3.0) -> float:
     """inf{x : Gamma(x) >= m} by bisection against the level-n iterate."""
     lo, hi = 0.0, 1.0

@@ -1,19 +1,23 @@
-"""tools/bench_pairs.py keeps what it measured when one run fails."""
+"""tools/bench_pairs.py keeps what it measured when one run fails or gives
+a wrong output."""
 import importlib.util
 import json
 import pathlib
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 
-# Stands in for lmbench/run.py: one result line, or exit 3 on FAIL_SEED.
+# Stands in for lmbench/run.py: one result line, which reports a wrong
+# output on WRONG_SEED, or exit 3 on FAIL_SEED.
 STUB = '''
 import json, sys
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
 if seed == FAIL_SEED:
     sys.stderr.write("Traceback ...\\nRuntimeError: stub failure on seed %d\\n" % seed)
     sys.exit(3)
-print(json.dumps({"metrics": {"round_s": {"value": SPEED * seed, "unit": "s"}},
-                  "failed": 0, "attempted": 24}))
+wrong = seed == WRONG_SEED
+print(json.dumps({"correct": not wrong,
+                  "metrics": {"round_s": {"value": SPEED * seed, "unit": "s"}},
+                  "failed": int(wrong), "attempted": 24}))
 '''
 
 
@@ -24,10 +28,12 @@ def _bench_pairs():
     return mod
 
 
-def _checkout(root: pathlib.Path, name: str, speed: float, fail_seed: int) -> str:
+def _checkout(root: pathlib.Path, name: str, speed: float, fail_seed: int,
+              wrong_seed: int = -1) -> str:
     (root / name / "lmbench").mkdir(parents=True)
     (root / name / "lmbench" / "run.py").write_text(
-        STUB.replace("FAIL_SEED", str(fail_seed)).replace("SPEED", str(speed)))
+        STUB.replace("FAIL_SEED", str(fail_seed)).replace("WRONG_SEED", str(wrong_seed))
+        .replace("SPEED", str(speed)))
     return str(root / name)
 
 
@@ -63,3 +69,39 @@ def test_complete_run_summarises_every_pair(tmp_path):
     assert "incomplete" not in record
     assert record["end_to_end"]["round_s"]["change_lower_in_pairs"] == 4
     assert record["failed_share"]["parent"] == ["0/24"] * 4
+
+
+def test_wrong_output_ends_the_measurement(tmp_path):
+    out = tmp_path / "bench.json"
+    code = _bench_pairs().main([
+        "--parent", _checkout(tmp_path, "parent", 1.0, fail_seed=-1),
+        "--change", _checkout(tmp_path, "change", 0.5, fail_seed=-1, wrong_seed=13),
+        "--workload", "w", "--seeds", "11-14", "--seconds", "1", "--out", str(out)])
+    assert code == 1
+    record = json.loads(out.read_text())["workloads"]["w"]
+    assert len(record["pairs"]) == 3
+    wrong = record["pairs"][-1]
+    # seed 13 runs the parent first, then the change, whose output is wrong
+    assert wrong["parent"]["correct"] is True
+    assert wrong["change"]["correct"] is False
+    assert wrong["change"]["metrics"]["round_s"]["value"] == 6.5
+    assert record["incomplete"] == "change run on seed 13 gave a wrong output"
+    assert "end_to_end" not in record
+
+
+def test_wrong_traced_output_ends_the_measurement(tmp_path):
+    out = tmp_path / "bench.json"
+    code = _bench_pairs().main([
+        "--parent", _checkout(tmp_path, "parent", 1.0, fail_seed=-1, wrong_seed=3),
+        "--change", _checkout(tmp_path, "change", 0.5, fail_seed=-1),
+        "--workload", "w", "--seeds", "1-2", "--seconds", "1", "--traced", "2",
+        "--out", str(out)])
+    assert code == 1
+    record = json.loads(out.read_text())["workloads"]["w"]
+    # the pairs were summarised; the first traced run (seed 3, parent) is wrong
+    assert record["end_to_end"]["round_s"]["change_lower_in_pairs"] == 2
+    (entry,) = record["traced"]["parent"]
+    assert (entry["seed"], entry["correct"]) == (3, False)
+    assert entry["metrics"]["round_s"]["value"] == 3.0
+    assert record["traced"]["change"] == []
+    assert record["incomplete"] == "parent run on seed 3 gave a wrong output"

@@ -43,6 +43,7 @@ from logmeasure.energy import (
 from logmeasure.measures import KIND_PIECEWISE_LINEAR, MonotoneCDF, _partition_arrays
 from oracles import (
     block_energy_oracle,
+    bracket_sums_reference,
     cantor_energy_oracle,
     one_sided_uniform_identity,
     staircase_term_oracle,
@@ -296,6 +297,82 @@ class TestBracketKernel:
         assert want[1][-1] < full[1][-1]
 
 
+class TestBracketSumsBitIdentical:
+    """The buffered lag loop gives the same bits as the unbuffered reference."""
+
+    MEASURES = {
+        "uniform": lambda: uniform_cdf(0.0, 1.0, 1.0),
+        "power-half": lambda: power_law_cdf(1.0, 0.5, 1.0),
+        "cantor3": lambda: cantor_cdf(standard_cantor_spec(3.0)),
+    }
+
+    @staticmethod
+    def _same(*args):
+        got = _bracket_sums(*args)
+        want = bracket_sums_reference(*args)
+        assert [list(map(float.hex, s)) for s in got] == [list(map(float.hex, s)) for s in want]
+        return got
+
+    @staticmethod
+    def _cells(F, n, R):
+        bounds, fvals = _partition_arrays(F, n)
+        return bounds, np.diff(fvals), _centroid_brackets(F, bounds, fvals, R)
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    @pytest.mark.parametrize("n", [64, 2048])
+    def test_coarse_far_field(self, name, n):
+        bounds, masses, cents = self._cells(self.MEASURES[name](), n, energy_mod._CENTROID_POINTS)
+        lows, _ = self._same(bounds, masses, cents, energy_mod._NEAR_WINDOW + 1, n)
+        assert len(lows) == n - energy_mod._NEAR_WINDOW - 1
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_near_bucket_call(self, name, monkeypatch):
+        """The arguments the near bucket passes, its keep(L) included."""
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return bracket_sums_reference(*args)
+
+        monkeypatch.setattr(energy_mod, "_bracket_sums", recording)
+        energy_mod._near_bracket(self.MEASURES[name](), 64, 0.0, None)
+        (args,) = calls
+        bounds, masses, cents, lag_lo, lag_hi, keep = args
+        W, s = energy_mod._NEAR_WINDOW, energy_mod._NEAR_FACTOR
+        assert (masses.size, lag_lo, lag_hi) == (64 * s, 1, (W + 1) * s)
+        # partial lags select pairs, lag W s and the lags inside take all
+        partial = [L for L in range(lag_lo, lag_hi) if keep(L) is not None]
+        assert partial and W * s not in partial and min(partial) == (W - 1) * s + 1
+        lows, _ = self._same(*args)
+        assert len(lows) == lag_hi - lag_lo
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_from_lag_one(self, name):
+        bounds, masses, cents = self._cells(self.MEASURES[name](), 64, 16)
+        self._same(bounds, masses, cents, 1, 64)
+
+    @pytest.mark.parametrize("lag_lo", [1, 2, 5])
+    def test_early_break(self, lag_lo):
+        # support of length 4: gaps leave kernel range from lag 17 on
+        bounds, masses, cents = self._cells(uniform_cdf(0.0, 4.0, 1.0), 64, 16)
+        lows, _ = self._same(bounds, masses, cents, lag_lo, 64)
+        assert len(lows) == 17 - lag_lo
+
+    def test_zero_width_cells(self):
+        """Atom tables put many quantile targets on one point: zero gaps,
+        spans and chord denominators, all clipped to the smallest double."""
+        F = table_cdf([0.0, 0.5, 1.0], [0.2, 0.7, 1.0])
+        bounds, masses, cents = self._cells(F, 64, 16)
+        assert np.count_nonzero(np.diff(bounds) == 0.0) > 32
+        self._same(bounds, masses, cents, 1, 64)
+        self._same(bounds, masses, cents, 3, 64)
+
+    def test_empty_lag_range(self):
+        bounds, masses, cents = self._cells(uniform_cdf(0.0, 1.0, 1.0), 16, 16)
+        for lag_lo, lag_hi in ((5, 5), (9, 3), (16, 40), (30, 40)):
+            assert self._same(bounds, masses, cents, lag_lo, lag_hi) == ([], [])
+
+
 class TestPairBrackets:
     """Every cell pair's bracket against its exact integral.
 
@@ -427,10 +504,43 @@ def test_column_sums_do_not_depend_on_block_size(monkeypatch):
     xs = np.sort(rng.uniform(0.0, 1.0, 512))
     ys = 2.0 ** -rng.uniform(0.0, 52.0, 100)
     whole = energy_mod._column_sums(F, xs, ys)
-    monkeypatch.setattr(energy_mod, "_COLUMN_BLOCK_POINTS", 7 * 512)
+    monkeypatch.setattr(energy_mod, "_EVAL_BLOCK_POINTS", 7 * 512)
     assert energy_mod._column_sums(F, xs, ys).tobytes() == whole.tobytes()
     singles = [energy_mod._column_sums(F, xs, ys[j : j + 1])[0] for j in range(ys.size)]
     assert np.array(singles).tobytes() == whole.tobytes()
+
+
+def test_centroid_brackets_do_not_depend_on_block_size(monkeypatch):
+    F = cantor_cdf(standard_cantor_spec(3.0))
+    bounds, fvals = _partition_arrays(F, 1000)
+    for R in (16, 256):
+        whole = _centroid_brackets(F, bounds, fvals, R)
+        # 7 cells per block (1000 is no multiple of 7), then one block of all
+        for points in (7 * R, 1 << 20):
+            monkeypatch.setattr(energy_mod, "_EVAL_BLOCK_POINTS", points)
+            got = _centroid_brackets(F, bounds, fvals, R)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in whole]
+        monkeypatch.undo()
+
+
+def test_evaluator_calls_stay_within_the_block():
+    """Both line engines feed the Cantor evaluator cache-sized blocks: no
+    call, on either side of a column sum, takes more than
+    _EVAL_BLOCK_POINTS points (larger blocks cost more per point)."""
+    F = cantor_cdf(standard_cantor_spec(3.0))
+    sizes = []
+
+    def recording(x):
+        sizes.append(np.size(x))
+        return F.evaluator(x)
+
+    G = dataclasses.replace(F, evaluator=recording)
+    for engine in (energy_one_sided, energy_double_stieltjes):
+        sizes.clear()
+        assert engine(G).verdict == VERDICT_FINITE
+        assert sum(sizes) > 20 * energy_mod._EVAL_BLOCK_POINTS
+        assert max(sizes) <= energy_mod._EVAL_BLOCK_POINTS
+    assert energy_mod._EVAL_BLOCK_POINTS == 1 << 15
 
 
 def test_one_sided_evaluates_each_column_once_per_level(monkeypatch):

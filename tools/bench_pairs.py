@@ -14,10 +14,13 @@ each end-to-end metric per side; the pairs the change won; the per-layer
 metrics of the traced runs) is merged into ``--out`` with the core count
 and the library versions.  Run it on an otherwise idle machine.
 
-A run that exits non-zero ends the measurement: its exit code and the tail
-of its stderr go into its pair (or traced entry) in place of a result, the
-record so far is written to ``--out`` (with no summaries if a pair failed)
-and the script exits 1.
+A run that exits non-zero, or whose result line does not say
+``"correct": true``, ends the measurement: the record is marked
+``incomplete`` with the side and seed of that run, the record so far is
+written to ``--out`` (with no summaries if a pair failed) and the script
+exits 1.  A run that exited non-zero leaves its exit code and the tail of
+its stderr in its pair (or traced entry) in place of a result; a run with a
+wrong output leaves its result line.
 """
 from __future__ import annotations
 
@@ -60,12 +63,17 @@ def save(path: str, workload: str, record: dict) -> None:
 
 
 def failed(res: dict, record: dict, seed: int, side: str) -> bool:
-    """Whether the run failed; if so, mark the record incomplete."""
-    if "exit_code" not in res:
-        return False
-    record["incomplete"] = f"{side} run on seed {seed} exited {res['exit_code']}"
-    print(record["incomplete"], res["stderr_tail"], sep="\n", file=sys.stderr)
-    return True
+    """Whether the run failed or gave a wrong output; if so, mark the record
+    incomplete."""
+    if "exit_code" in res:
+        record["incomplete"] = f"{side} run on seed {seed} exited {res['exit_code']}"
+        print(record["incomplete"], res["stderr_tail"], sep="\n", file=sys.stderr)
+        return True
+    if res.get("correct") is not True:
+        record["incomplete"] = f"{side} run on seed {seed} gave a wrong output"
+        print(record["incomplete"], file=sys.stderr)
+        return True
+    return False
 
 
 def spread(values: list) -> dict:
