@@ -11,9 +11,10 @@ returns the first conclusive certificate:
               -> direct energy bracket -> lower-bound series -> Unknown
 
 Divergence certificates always carry a certified lower bound (a budget
-violation or a growth certificate for a represented infinite series);
-`+inf` results from the functionals are sentinel verdicts issued by a
-growth test on log partial sums, never floating-point overflow.
+violation or a growth certificate for a represented infinite series).
+A `+inf` result from the functionals is the growth sentinel on log partial
+sums, or a finite sum past the double range; a gate that reads `+inf` only
+declines, so neither case certifies anything.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ from .measures import (
 from .energy import (
     VERDICT_DIVERGENT,
     VERDICT_FINITE,
+    _tail_growing,
     energy_density,
     energy_double_stieltjes,
     holder_energy_bound,
@@ -90,10 +92,6 @@ LP_EXPONENTS = (2.0, 1.5, 1.25)
 LOG_MODULUS_BETAS = (1.5, 2.0, 3.0)
 # Slope clamp keeping alpha in (0, 1].
 _ALPHA_FLOOR = 1e-6
-# Growth-sentinel test: log partial sums must climb monotonically across
-# this many trailing blocks by at least this total rise.
-_GROWTH_WINDOW = 10
-_GROWTH_MIN_RISE = 0.01
 
 
 @dataclass(frozen=True)
@@ -196,22 +194,12 @@ def check_log_modulus(F: MonotoneCDF, beta: float, grid: np.ndarray | None = Non
     return {"holds": bool(worst <= 1.0 + 1e-9), "eps_used": eps, "worst_ratio": worst}
 
 
-def _tail_growing(partial_logs) -> bool:
-    """Sentinel test: log partial sums still climbing across the tail blocks."""
-    w = min(_GROWTH_WINDOW, len(partial_logs) - 1)
-    if w < 3:
-        return False
-    tail = partial_logs[-(w + 1) :]
-    if any(b <= a for a, b in zip(tail, tail[1:])):
-        return False
-    return tail[-1] - tail[0] >= _GROWTH_MIN_RISE
-
-
 def _series_eval(term_logs, root: float) -> float:
     """(sum of exp(term_logs)) ** root with the +inf growth sentinel.
 
     Accumulates in log space for the sentinel test; the returned value is a
-    compensated linear-space sum whenever no term overflows a double.
+    compensated linear-space sum whenever no term overflows a double, and
+    +inf when the result itself is past the double range.
     """
     partial = -math.inf
     partial_logs = []
@@ -225,7 +213,10 @@ def _series_eval(term_logs, root: float) -> float:
     if max(term_logs) < 700.0:
         lin = math.fsum(math.exp(tl) for tl in term_logs)
         return lin**root if root != 1.0 else lin
-    return math.exp(partial_logs[-1] * root)
+    try:
+        return math.exp(partial_logs[-1] * root)
+    except OverflowError:
+        return math.inf
 
 
 def lp_norm(f: StepDensity, p: float) -> float:

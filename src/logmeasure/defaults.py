@@ -36,7 +36,6 @@ DIM0_DEPTH = 40                     # construction depth for the thin family
 DIM0_LEVEL = 36                     # level at which the pointwise ratio ...
 DIM0_BOUND = 1e-4                   # ... must have decayed below this
 DIM0_CLOSED_FORM_TOL = 1e-15        # box-count ratio vs n ln2 / 2^(n/2)
-LOG_MODULUS_SAMPLES = 1000          # modulus grid size for the certificate
 
 # --- radial-circle -------------------------------------------------------
 RADIAL_NS = (64, 256, 1024)         # circle discretization sizes

@@ -105,6 +105,11 @@ _EVAL_BLOCK_POINTS = 1 << 15
 # Fraction of total mass below which a resolution-floor-width cell is not
 # treated as an atom (its diagonal term is then provably negligible).
 _ATOM_MASS_FRACTION = 1e-6
+# Series-growth sentinel: log partial sums must climb strictly across this
+# many trailing blocks, by at least this total rise.  Shorter block lists
+# carry no growth certificate.
+_GROWTH_WINDOW = 10
+_GROWTH_MIN_RISE = 0.01
 
 
 @dataclass(frozen=True)
@@ -730,36 +735,40 @@ def _cross_pair_energy(bi, bj) -> float:
     return m_pt * math.exp(h_log + math.log(integral))
 
 
+def _tail_growing(partial_logs) -> bool:
+    """Sentinel test: log partial sums still climbing across the last
+    _GROWTH_WINDOW blocks."""
+    if len(partial_logs) <= _GROWTH_WINDOW:
+        return False
+    tail = partial_logs[-(_GROWTH_WINDOW + 1):]
+    if any(b <= a for a, b in zip(tail, tail[1:])):
+        return False
+    return tail[-1] - tail[0] >= _GROWTH_MIN_RISE
+
+
 def step_lower_bound(f: StepDensity) -> dict:
     """Per-block diagonal lower-bound series sum_n h_n^2 d_n^2 ln(1/d_n).
 
     Terms are evaluated as exp(2 ln h + 2 ln d) * (-ln d) with the exponent
     parts combined by compensated summation before exponentiation, so blocks
-    whose widths underflow doubles still produce exact terms.  ``diverging``
-    is a growth certificate for the represented infinite construction: true
-    when the last half of the truncation still contributes at least 2% of
-    the partial sum (or a term's log exceeds the overflow scale).
+    whose widths underflow doubles still produce exact terms; a term whose
+    log exceeds the overflow scale makes the partial sum +inf.  ``diverging``
+    is a growth certificate for the represented infinite construction: the
+    series-growth sentinel on the log partial sums, which needs more than
+    _GROWTH_WINDOW blocks.
     """
     terms = []
-    overflow = False
+    partial_logs = []
+    partial_log = -math.inf
     for b in f.blocks:
         e_log = math.fsum([2.0 * b.h_log, 2.0 * b.h_log_lo, 2.0 * b.d_log, 2.0 * b.d_log_lo])
         neg_ld = -b.d_log_total()
-        if e_log > 700.0:
-            overflow = True
-            terms.append(math.inf)
-            continue
-        term = math.exp(e_log) * neg_ld if neg_ld > 0.0 else 0.0
-        terms.append(term)
-    partial = math.fsum(t for t in terms if math.isfinite(t))
-    if overflow:
-        partial = math.inf
-    n = len(terms)
-    diverging = overflow
-    if not diverging and n >= 4 and partial > 0.0:
-        half = math.fsum(terms[: (n + 1) // 2])
-        diverging = (partial - half) >= 0.02 * partial
-    return {"terms": terms, "partial_sum": partial, "diverging": diverging}
+        if neg_ld > 0.0:
+            partial_log = float(np.logaddexp(partial_log, e_log + math.log(neg_ld)))
+        partial_logs.append(partial_log)
+        terms.append(math.inf if e_log > 700.0 else math.exp(e_log) * max(neg_ld, 0.0))
+    return {"terms": terms, "partial_sum": math.fsum(terms),
+            "diverging": _tail_growing(partial_logs)}
 
 
 def energy_density(f: StepDensity, cfg: QuadratureConfig = QuadratureConfig()) -> EnergyEstimate:

@@ -25,7 +25,6 @@ __all__ = [
     "DimensionEstimate",
     "standard_cantor_spec",
     "general_ratio_spec",
-    "gamma_level",
     "cantor_cdf",
     "cantor_intervals",
     "LogModulusReport",
@@ -36,8 +35,11 @@ __all__ = [
 FAMILY_STANDARD = "StandardK"
 FAMILY_GENERAL = "GeneralRatio"
 
-#: enumeration of 2**n intervals is refused above this level by default
+#: enumeration of 2**n intervals is refused above this level
 INTERVAL_LEVEL_BUDGET = 24
+
+#: x-grid size of the sampled modulus in the log-modulus certificate
+LOG_MODULUS_SAMPLES = 1000
 
 #: smallest denormal double; used to keep rescaling divisions finite once a
 #: contraction ratio underflows (the quotient then lands far above 1 and the
@@ -183,24 +185,6 @@ def _gamma_eval(x: np.ndarray, ratios: np.ndarray, levels: int) -> np.ndarray:
     return vals.reshape(shape)
 
 
-def gamma_level(spec: CantorSpec, x, n: int):
-    """Level-n iterate of the scheme's CDF; 0 left of 0 and 1 right of 1.
-
-    Level 0 is the identity on [0, 1]; level n applies the two-copy
-    splitting once and recurses at level n-1 inside each copy.
-    """
-    if n < 0:
-        raise BadParams(f"level must be >= 0, got {n}")
-    if n > spec.depth:
-        raise DepthExceeded(f"level {n} exceeds spec depth {spec.depth}")
-    ratios = spec.ratios()
-    arr = np.asarray(x, dtype=float)
-    out = _gamma_eval(arr, ratios, n)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
 def cantor_cdf(spec: CantorSpec) -> MonotoneCDF:
     """The scheme's CDF as a unit-mass MonotoneCDF on [0, 1].
 
@@ -267,8 +251,7 @@ class IntervalList:
         return math.exp(self.width_log)
 
 
-def cantor_intervals(spec: CantorSpec, n: int,
-                     level_budget: int = INTERVAL_LEVEL_BUDGET) -> IntervalList:
+def cantor_intervals(spec: CantorSpec, n: int) -> IntervalList:
     """Enumerate the 2**n level-n intervals by binary address.
 
     Each interval is addressed by a left/right word of length n; appending L
@@ -280,9 +263,9 @@ def cantor_intervals(spec: CantorSpec, n: int,
         raise BadParams(f"level must be >= 0, got {n}")
     if n > spec.depth:
         raise DepthExceeded(f"level {n} exceeds spec depth {spec.depth}")
-    if n > level_budget:
+    if n > INTERVAL_LEVEL_BUDGET:
         raise BudgetExceeded(
-            f"2**{n} intervals exceed the enumeration budget 2**{level_budget}")
+            f"2**{n} intervals exceed the enumeration budget 2**{INTERVAL_LEVEL_BUDGET}")
     los = np.zeros(1)
     scale = 1.0
     for k in range(n):
@@ -334,27 +317,20 @@ class LogModulusReport:
     edge_ratios: tuple
 
 
-def log_modulus_certificate(spec: CantorSpec, beta: float | None = None,
-                            samples: int = 1000) -> LogModulusReport:
+def log_modulus_certificate(spec: CantorSpec) -> LogModulusReport:
     """Check mod(y) <= 1/|ln y|**beta on dyadic scales below exp(-(beta+1)).
 
-    The scale list is dyadic 2**-j down to 2**-40, augmented with the exact
-    level lengths d_n (where the bound is attained with equality at x = 0,
-    since the CDF value at d_n is exactly 2**-n while |ln d_n|**beta = 2**n).
+    beta is the spec's own exponent, and the sup over x runs on a grid of
+    LOG_MODULUS_SAMPLES points.  The scale list is dyadic 2**-j down to
+    2**-40, augmented with the exact level lengths d_n (where the bound is
+    attained with equality at x = 0, since the CDF value at d_n is exactly
+    2**-n while |ln d_n|**beta = 2**n).
     Scales above exp(-(beta+1)) are outside the certified regime and are
     never sampled.
     """
     if spec.family != FAMILY_GENERAL:
         raise BadParams("certificate applies to the GeneralRatio family only")
-    if beta is None:
-        beta = spec.beta
-    if not (beta > 1.0):
-        raise BadBeta(f"growth exponent beta must exceed 1, got {beta}")
-    if abs(beta - spec.beta) > 1e-12:
-        raise BadParams(
-            f"certificate exponent {beta} does not match the spec's {spec.beta}")
-    if samples < 8:
-        raise BadParams("need at least 8 sample points")
+    beta = spec.beta
     eps = math.exp(-(beta + 1.0))
     F = cantor_cdf(spec)
 
@@ -370,7 +346,7 @@ def log_modulus_certificate(spec: CantorSpec, beta: float | None = None,
 
     from .measures import default_modulus_grid, sampled_modulus
 
-    grid = default_modulus_grid(F, samples)
+    grid = default_modulus_grid(F, LOG_MODULUS_SAMPLES)
     mods = np.atleast_1d(sampled_modulus(F, np.array(scales), grid=grid))
     edge_incs = np.atleast_1d(F(np.array(scales)))
     ratios = []

@@ -501,24 +501,22 @@ class StepDensity:
         return first.a, last.a + last.width()
 
 
-def l1_divergent_blocks(n_max: int, spacing: float = 2.0) -> StepDensity:
+def l1_divergent_blocks(n_max: int) -> StepDensity:
     """The unit-mass staircase of ever taller, thinner blocks whose energy
     lower-bound terms are all exactly 1.
 
     Block n has d_log = -2**(2n) and h = 1/(2**n * d_n), so h_n * d_n = 2**-n
-    and h_n**2 * d_n**2 * log(1/d_n) = 1.  Blocks sit at a_n = spacing*n; any
-    spacing > 1 + d_1 keeps cross terms outside the kernel window.
+    and h_n**2 * d_n**2 * log(1/d_n) = 1.  Blocks sit at a_n = 2n, a spacing
+    above 1 + d_1 that keeps cross terms outside the kernel window.
     """
     if n_max < 1:
         raise BadParams("need at least one block")
-    if spacing <= 1.0 + math.exp(-4.0):
-        raise BadParams("spacing must exceed 1 + d_1 to keep blocks kernel-separated")
     blocks = []
     for n in range(1, n_max + 1):
         d_hi = -float(4**n)        # exact: power of two
         h_hi = float(4**n)
         h_lo = -n * LN2
-        blocks.append(Block(a=spacing * n, d_log=d_hi, h_log=h_hi,
+        blocks.append(Block(a=2.0 * n, d_log=d_hi, h_log=h_hi,
                             d_log_lo=0.0, h_log_lo=h_lo))
     return StepDensity(tuple(blocks))
 

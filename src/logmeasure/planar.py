@@ -6,13 +6,17 @@ with refinement-family verdicts, radial CDF extraction about a center
 checks, power-law radial profiles, Biot-Savart velocity fields with local
 kinetic energy, and ring-mollified blob approximations of radial profiles.
 
-Atomized energies are always judged across a refinement family rebuilt
-from the cloud's provenance: a single point cloud never certifies a finite
-energy, because every atomization looks infinite at its own scale.  The
-pairwise i != j sum is the lower bracket; the upper bracket adds a per-atom
-self-interaction surcharge w_i^2 * k(cell diameter) (heuristic, documented).
-The pair kernels evaluate each unordered pair once, and neither they nor
-the Biot-Savart sums call BLAS, so no result depends on its thread count.
+``energy_planar`` dispatches on the cloud's provenance.  A line cloud is a
+measure on the x-axis, whose planar log+ energy is its line energy, so it
+goes to the double Stieltjes engine and gets that engine's certified
+bracket.  A point mass is divergent at once.  Circle and blob clouds are
+judged across a refinement family rebuilt from their provenance: a single
+point cloud never certifies a finite energy, because every atomization
+looks infinite at its own scale.  There the pairwise i != j sum is the
+lower bracket, and the upper bracket adds a per-atom self-interaction
+surcharge w_i^2 * k(cell diameter) (heuristic, documented).  The pair
+kernels evaluate each unordered pair once, and neither they nor the
+Biot-Savart sums call BLAS, so no result depends on its thread count.
 """
 from __future__ import annotations
 
@@ -39,8 +43,10 @@ from .energy import (
     VERDICT_DIVERGENT,
     VERDICT_FINITE,
     VERDICT_INCONCLUSIVE,
+    energy_double_stieltjes,
 )
-from .measures import MonotoneCDF, _fsum, _ginv_array, power_law_cdf, table_cdf
+from .measures import (MonotoneCDF, QuadratureConfig, _fsum, _ginv_array,
+                       power_law_cdf, table_cdf)
 
 __all__ = [
     "PlanarMeasure",
@@ -83,6 +89,9 @@ PROV_CUSTOM = "Custom"
 FAMILY_TOL = 0.02
 # Doubling refinement schedule for provenance-backed families.
 FAMILY_SCHEDULE = (64, 128, 256, 512, 1024, 2048, 4096)
+# Line clouds go to the double engine with the bracket width the family rule
+# demands (surcharge at most half of FAMILY_TOL).
+_LINE_CONFIG = QuadratureConfig(agreement_tol=FAMILY_TOL / 2)
 # Direct O(n^2) sums only; above this the family schedule is truncated.
 _MAX_ATOMS = 10_000
 # Rows per block in the pair sums (bounds peak memory at ~chunk*n floats).
@@ -118,10 +127,10 @@ class PlanarMeasure:
     points is an (n, 2) float array, weights an (n,) array of strictly
     positive weights.  provenance records the continuum measure this cloud
     discretizes plus its discretization parameter, so refinement families
-    can be rebuilt; cell_diameters (optional, per atom) feed the
-    self-interaction surcharge of the upper energy bracket.  Unknown
-    diameters are treated as zero (infinite surcharge): a cloud of unknown
-    origin never certifies finiteness.
+    can be rebuilt; cell_diameters (per atom, set by the circle and blob
+    builders) feed the self-interaction surcharge of the family's upper
+    energy bracket.  Unknown diameters are treated as zero (infinite
+    surcharge): a cloud of unknown origin never certifies finiteness.
     """
 
     points: np.ndarray
@@ -209,14 +218,11 @@ class VelocityField:
     hy: float
 
 
-def planar_measure(points, weights, provenance: dict | None = None,
-                   cell_diameters=None) -> PlanarMeasure:
+def planar_measure(points, weights, provenance: dict | None = None) -> PlanarMeasure:
     """Build a point-cloud measure from raw arrays (Custom provenance)."""
     prov = dict(provenance) if provenance is not None else {"kind": PROV_CUSTOM}
     return PlanarMeasure(np.asarray(points, dtype=float),
-                         np.asarray(weights, dtype=float), prov,
-                         None if cell_diameters is None
-                         else np.asarray(cell_diameters, dtype=float))
+                         np.asarray(weights, dtype=float), prov)
 
 
 def _exact_total_weights(mass: float, n: int) -> np.ndarray:
@@ -251,23 +257,20 @@ def circle_measure(n: int) -> PlanarMeasure:
 
 
 def dirac_at(point, mass: float = 1.0) -> PlanarMeasure:
-    """A single atom of the given mass (cell diameter zero: a true atom)."""
+    """A single atom of the given mass."""
     if not (mass > 0.0 and math.isfinite(mass)):
         raise BadParams(f"atom mass must be finite and > 0, got {mass}")
     x, y = float(point[0]), float(point[1])
-    return PlanarMeasure(
-        np.array([[x, y]]), np.array([mass]),
-        {"kind": PROV_DIRAC, "point": (x, y), "mass": mass},
-        np.array([0.0]),
-    )
+    return PlanarMeasure(np.array([[x, y]]), np.array([mass]),
+                         {"kind": PROV_DIRAC, "point": (x, y), "mass": mass})
 
 
 def line_measure(F: MonotoneCDF, n: int) -> PlanarMeasure:
     """Mass-uniform atomization of a line measure eta(dx) x delta_0(dy).
 
     Atoms sit at the generalized inverses of the midpoint mass targets
-    (k + 1/2) * mass / n on the x-axis; cell diameters are the spatial
-    widths of the mass-uniform cells (zero width marks an atom of F).
+    (k + 1/2) * mass / n on the x-axis.  The provenance keeps F, which is
+    what energy_planar hands to the line engine.
     """
     if n < 1:
         raise BadParams(f"need n >= 1 atoms, got {n}")
@@ -275,13 +278,9 @@ def line_measure(F: MonotoneCDF, n: int) -> PlanarMeasure:
     if mass <= 0.0:
         raise ZeroMass("line measure needs strictly positive total mass")
     targets = (np.arange(n, dtype=float) + 0.5) * (mass / n)
-    qs = _ginv_array(F, targets)
-    edges = _ginv_array(F, np.arange(n + 1, dtype=float) * (mass / n))
-    pts = np.column_stack((qs, np.zeros(n)))
-    ws = _exact_total_weights(mass, n)
-    return PlanarMeasure(
-        pts, ws, {"kind": PROV_LINE, "n": n, "cdf": F}, np.diff(edges)
-    )
+    pts = np.column_stack((_ginv_array(F, targets), np.zeros(n)))
+    return PlanarMeasure(pts, _exact_total_weights(mass, n),
+                         {"kind": PROV_LINE, "n": n, "cdf": F})
 
 
 def power_law_profile(c: float, alpha: float, R: float) -> RadialProfile:
@@ -391,28 +390,34 @@ def _family_schedule(kind: str) -> tuple:
 # Rebuilds a cloud at refinement level n from its provenance, per kind.
 _REFINE = {
     PROV_CIRCLE: lambda P, n: circle_measure(n),
-    PROV_DIRAC: lambda P, n: P,
-    PROV_LINE: lambda P, n: line_measure(P.provenance["cdf"], n),
     PROV_BLOB: lambda P, n: blob_approximation(P.provenance["profile"], n, P.provenance["radius"]),
 }
 
 
 def energy_planar(P: PlanarMeasure) -> EnergyEstimate:
-    """Bracketed planar log-energy judged over a refinement family.
+    """Bracketed planar log-energy, dispatched on the cloud's provenance.
 
-    The i != j pairwise sum is the lower bracket at each level; the upper
-    bracket adds the per-atom surcharge.  The whole refinement schedule is
-    always run, and FiniteConverged requires the final two levels to agree
-    within half of FAMILY_TOL with a final surcharge that small as well (half
-    per component keeps the combined uncertainty within FAMILY_TOL).  A +inf
-    lower bracket (coincident atoms) is a divergence certificate at any
-    level, as is a provenance-level point mass.  Clouds without a refinable
-    provenance are judged on the single cloud and can never certify
-    finiteness (Inconclusive at best).
+    A line cloud returns the double engine's estimate for its CDF at a
+    bracket width of half FAMILY_TOL.  A point mass is Divergent at once
+    (lower bracket 0, the pair sum of one atom).  Circle and blob clouds are
+    judged over a refinement family: the i != j pairwise sum is the lower
+    bracket at each level, and the upper bracket adds the per-atom
+    surcharge.  The whole refinement schedule is always run, and
+    FiniteConverged requires the final two levels to agree within half of
+    FAMILY_TOL with a final surcharge that small as well (half per component
+    keeps the combined uncertainty within FAMILY_TOL).  A +inf lower bracket
+    (coincident atoms) is a divergence certificate at any level.  Clouds
+    without a refinable provenance are judged on the single cloud and can
+    never certify finiteness (Inconclusive at best).
     """
     if P.n_atoms == 0:
         raise EmptyMeasure("planar energy needs at least one atom")
     kind = P.provenance.get("kind")
+    if kind == PROV_LINE:
+        return energy_double_stieltjes(P.provenance["cdf"], _LINE_CONFIG)
+    if kind == PROV_DIRAC:
+        return EnergyEstimate(math.inf, 0.0, math.inf, VERDICT_DIVERGENT,
+                              ((1, 0.0, math.inf),), STOP_ATOM, UPPER_HEURISTIC)
     levels: tuple = _family_schedule(kind) if kind in _REFINE else (None,)
     trace = []
     prev = None
@@ -436,11 +441,6 @@ def energy_planar(P: PlanarMeasure) -> EnergyEstimate:
     if drift <= 0.5 * FAMILY_TOL * scale and sur <= 0.5 * FAMILY_TOL * scale:
         return EnergyEstimate(lower + 0.5 * sur, lower, upper,
                               VERDICT_FINITE, tuple(trace), STOP_AGREEMENT, UPPER_HEURISTIC)
-    if kind == PROV_DIRAC:
-        # A provenance-level point mass never diffuses under refinement and
-        # a point mass has infinite energy.
-        return EnergyEstimate(math.inf, lower, math.inf,
-                              VERDICT_DIVERGENT, tuple(trace), STOP_ATOM, UPPER_HEURISTIC)
     value = lower + 0.5 * sur if math.isfinite(upper) else lower
     return EnergyEstimate(value, lower, upper, VERDICT_INCONCLUSIVE, tuple(trace),
                           STOP_SCHEDULE, UPPER_HEURISTIC)

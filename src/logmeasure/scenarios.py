@@ -43,6 +43,7 @@ from .energy import (
 )
 from .errors import BadParams
 from .fractal import (
+    LOG_MODULUS_SAMPLES,
     box_counting_dimension,
     cantor_cdf,
     general_ratio_spec,
@@ -277,7 +278,7 @@ def _cantor_standard() -> dict:
 
 def _cantor_smallest() -> dict:
     spec = general_ratio_spec(2.0, depth=D.DIM0_DEPTH)
-    cert = log_modulus_certificate(spec, 2.0, samples=D.LOG_MODULUS_SAMPLES)
+    cert = log_modulus_certificate(spec)
     # Pointwise box-count ratio at a deep level: n*ln2 / |ln d_n| with
     # ln d_n = -2^{n/2}, which must have decayed below DIM0_BOUND.
     level = D.DIM0_LEVEL
@@ -290,7 +291,7 @@ def _cantor_smallest() -> dict:
             beta=cert.beta,
             edge_worst_ratio=cert.edge_worst_ratio,
             edge_worst_scale=cert.edge_worst_scale,
-            samples=D.LOG_MODULUS_SAMPLES,
+            samples=LOG_MODULUS_SAMPLES,
         ),
         _check(
             "windowed_modulus_reported",

@@ -155,6 +155,17 @@ class TestClassifier:
         assert v.witness["partial_sum"] == pytest.approx(50.0, abs=1e-9)
         assert v.witness["n_blocks"] == 50
 
+    def test_short_staircase_is_a_member(self):
+        # ten finite blocks, too few for a growth certificate, whose L^2
+        # norm is past the double range; block n's self energy is
+        # h^2 d^2 (3/2 + 4^n) = 1 + 1.5 * 4^-n and the blocks sit 2 apart
+        f10 = l1_divergent_blocks(10)
+        assert lp_norm(f10, 2.0) == math.inf
+        v = classify_membership(f10)
+        assert v.verdict == MEMBER_CERTIFIED
+        assert v.rule == "EnergyDirect"
+        assert v.witness["value"] == pytest.approx(10.5 - 0.5 * 4.0**-10, rel=1e-12)
+
     def test_atom_table_energy_divergence(self):
         v = classify_membership(table_cdf([0.0, 0.5, 1.0], [0.2, 0.7, 1.0]))
         assert v.verdict == DIVERGENCE_CERTIFIED

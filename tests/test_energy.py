@@ -47,6 +47,7 @@ from oracles import (
     cantor_energy_oracle,
     one_sided_uniform_identity,
     staircase_term_oracle,
+    step_density_energy_oracle,
     uniform_energy_oracle,
 )
 
@@ -177,6 +178,15 @@ class TestDensityEngine:
         assert est.verdict == VERDICT_DIVERGENT
         assert est.lower == math.inf
 
+    def test_four_blocks_match_psi_oracle(self):
+        # a finite block list carries no growth certificate, however much of
+        # the diagonal sum its second half holds
+        blocks = [(a, 0.1, 2.0) for a in (0.0, 0.2, 0.4, 0.6)]
+        f = StepDensity(tuple(Block(a, math.log(d), math.log(h)) for a, d, h in blocks))
+        est = energy_density(f)
+        assert est.verdict == VERDICT_FINITE
+        assert abs(est.value - step_density_energy_oracle(blocks)) <= 1e-9
+
 
 class TestStepLowerBound:
     def test_terms_are_exactly_one(self):
@@ -196,6 +206,20 @@ class TestStepLowerBound:
         res = step_lower_bound(l1_divergent_blocks(12))
         for n, t in enumerate(res["terms"], start=1):
             assert t == pytest.approx(staircase_term_oracle(n), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [11, 12, 30])  # 50 blocks: see above
+    def test_staircase_growth_certified(self, n):
+        from logmeasure import step_lower_bound
+
+        assert step_lower_bound(l1_divergent_blocks(n))["diverging"]
+        assert energy_density(l1_divergent_blocks(n)).verdict == VERDICT_DIVERGENT
+
+    @pytest.mark.parametrize("n", [4, 10])
+    def test_short_staircase_carries_no_certificate(self, n):
+        # the growth window spans 10 blocks after the first
+        from logmeasure import step_lower_bound
+
+        assert not step_lower_bound(l1_divergent_blocks(n))["diverging"]
 
 
 class TestCheapConfig:

@@ -166,15 +166,10 @@ class TestIntervals:
 class TestLogModulusCertificate:
     def test_standard_family_rejected(self):
         with pytest.raises(BadParams):
-            log_modulus_certificate(standard_cantor_spec(3.0), 2.0)
-
-    def test_beta_mismatch_rejected(self):
-        with pytest.raises(BadParams):
-            log_modulus_certificate(general_ratio_spec(2.0), 1.5)
+            log_modulus_certificate(standard_cantor_spec(3.0))
 
     def test_edge_form_holds_for_beta_two(self):
-        cert = log_modulus_certificate(general_ratio_spec(2.0, depth=40), 2.0,
-                                       samples=1000)
+        cert = log_modulus_certificate(general_ratio_spec(2.0, depth=40))
         assert cert.edge_holds
         assert cert.edge_worst_ratio == pytest.approx(1.0, abs=1e-12)
 
@@ -182,15 +177,13 @@ class TestLogModulusCertificate:
         # The supremum over whole dyadic windows exceeds the bound at the
         # scale where two construction levels interact; the certificate
         # reports this honestly rather than claiming the stronger form.
-        cert = log_modulus_certificate(general_ratio_spec(2.0, depth=40), 2.0,
-                                       samples=1000)
+        cert = log_modulus_certificate(general_ratio_spec(2.0, depth=40))
         assert not cert.holds
         assert cert.worst_ratio == pytest.approx(1.5014156684943794, rel=1e-9)
         assert cert.worst_scale == pytest.approx(0.03125)
 
     def test_beta_three_halves_edge_holds(self):
-        cert = log_modulus_certificate(general_ratio_spec(1.5, depth=40), 1.5,
-                                       samples=1000)
+        cert = log_modulus_certificate(general_ratio_spec(1.5, depth=40))
         assert cert.edge_holds
 
 

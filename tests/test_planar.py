@@ -20,25 +20,31 @@ from logmeasure import (
     VERDICT_DIVERGENT,
     VERDICT_FINITE,
     VERDICT_INCONCLUSIVE,
+    QuadratureConfig,
     arcsin_profile_cdf,
     biot_savart,
     blob_approximation,
+    cantor_cdf,
     circle_measure,
     dirac_at,
+    energy_double_stieltjes,
     energy_planar,
     line_measure,
     local_kinetic_energy,
     planar_measure,
+    power_law_cdf,
     power_law_profile,
     radial_cdf,
     radial_inequality_check,
     radial_pushforward_check,
+    standard_cantor_spec,
     uniform_cdf,
 )
 from oracles import (
     annulus_kinetic_oracle,
     arcsin_profile_oracle,
     biot_savart_oracle,
+    cantor_energy_oracle,
     circle_energy_bruteforce_oracle,
     circle_energy_limit_oracle,
     circle_r2_moment_oracle,
@@ -236,8 +242,25 @@ class TestEnergyFamilies:
     def test_line_family_matches_uniform_energy(self):
         est = energy_planar(line_measure(uniform_cdf(0.0, 1.0, 1.0), 64))
         assert est.verdict == VERDICT_FINITE
-        assert est.value == pytest.approx(1.4985360495783802, rel=1e-12)
+        assert est.value == pytest.approx(1.5017057771297218, rel=1e-12)
         assert abs(est.value - 1.5) <= 3e-3
+
+    @pytest.mark.parametrize("F, exact", [
+        (uniform_cdf(0.0, 1.0, 1.0), 1.5),
+        (power_law_cdf(1.0, 0.5, 1.0), 3.0 - 2.0 * math.log(2.0)),
+        (cantor_cdf(standard_cantor_spec(3.0)), cantor_energy_oracle(3.0)),
+    ], ids=["uniform", "power-half", "cantor-3"])
+    def test_line_cloud_brackets_contain_the_energy(self, F, exact):
+        est = energy_planar(line_measure(F, 64))
+        assert est.verdict == VERDICT_FINITE
+        assert est.upper_kind == "modulus"
+        assert est.lower <= exact <= est.upper
+        assert est.upper - est.lower <= 0.5 * planar_mod.FAMILY_TOL * max(1.0, est.lower)
+
+    def test_line_cloud_is_the_line_engine_estimate(self):
+        F = power_law_cdf(1.0, 0.5, 1.0)
+        cfg = QuadratureConfig(agreement_tol=planar_mod.FAMILY_TOL / 2)
+        assert energy_planar(line_measure(F, 16)) == energy_double_stieltjes(F, cfg)
 
     def test_dirac_family_diverges(self):
         est = energy_planar(dirac_at((0.25, -0.5), 1.0))
