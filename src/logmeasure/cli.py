@@ -248,6 +248,9 @@ def _cmd_velocity(args) -> int:
         "r_out": r_out,
         "r_in": r_in,
         "kinetic_energy": ke,
+        "direct_cells": field.direct_cells,
+        "expansion_cells": field.expansion_cells,
+        "expansion_order": field.expansion_order,
     }
     jpath = _write_text(args.out_dir, "velocity.json", lio.dumps(report))
     cpath = _write_text(args.out_dir, "velocity.csv", lio.velocity_csv(field))

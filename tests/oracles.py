@@ -415,6 +415,43 @@ def biot_savart_oracle(points, weights, xs, ys) -> tuple:
     return values, fsum_cells(sizes)
 
 
+class AtomOnGridReference(Exception):
+    """Raised by biot_savart_direct_reference where the library raises AtomOnGrid."""
+
+
+def biot_savart_direct_reference(P, grid) -> np.ndarray:
+    """The velocity values of the all-direct blocked sweep, as it stood before
+    far cells took a multipole expansion.
+
+    Every cell sums every atom in blocks of whole rows of at most 2^16
+    cell x atom entries, with the same arithmetic in the same order, so a
+    cloud whose near square covers the grid must match it bit for bit.
+    Raises AtomOnGridReference when an atom lies within 1e-12 * min(hx, hy)
+    of a cell center.
+    """
+    if P.n_atoms == 0:
+        raise ValueError("velocity field needs at least one atom")
+    xs, ys = grid.centers()
+    sep_floor = 1e-12 * min(grid.hx, grid.hy)
+    dx = xs[:, None] - P.points[None, :, 0]
+    dx2 = dx * dx
+    ws = P.weights / (2.0 * math.pi)
+    values = np.empty((grid.ny, grid.nx, 2), dtype=float)
+    rows_per = max(1, (1 << 16) // (grid.nx * P.n_atoms))
+    for j0 in range(0, grid.ny, rows_per):
+        j1 = min(j0 + rows_per, grid.ny)
+        ndy = P.points[None, :, 1] - ys[j0:j1, None]  # -(y - y_i)
+        d2 = dx2 + (ndy * ndy)[:, None, :]
+        if float(np.min(d2)) < sep_floor * sep_floor:
+            raise AtomOnGridReference(
+                f"an atom sits within {sep_floor:.3e} of a velocity sample"
+            )
+        scaled = np.divide(ws, d2, out=d2)
+        values[j0:j1, :, 0] = np.einsum("rxn,rn->rx", scaled, ndy)
+        values[j0:j1, :, 1] = np.einsum("rxn,xn->rx", scaled, dx)
+    return values
+
+
 # ----------------------------------------------------------------------
 # Point-vortex kinetic energy over an annulus.
 

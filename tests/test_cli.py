@@ -220,6 +220,17 @@ class TestVelocityCommand:
         assert rows[0] == "x,y,ux,uy"
         assert len(rows) == 32 * 32 + 1
 
+    @pytest.mark.parametrize("corpus,direct,order", [
+        ("dirac.json", 0, 0),  # one atom: every cell from the order-0 expansion
+        ("circle64.json", 160 * 160, 34),  # the near square covers the grid
+    ])
+    def test_work_record(self, tmp_path, corpus, direct, order):
+        r = run_cli("velocity", "--measure", CORPUS / corpus, "--out-dir", tmp_path)
+        assert r.returncode == 0
+        doc = json.loads((tmp_path / "velocity.json").read_text())
+        assert (doc["direct_cells"], doc["expansion_cells"], doc["expansion_order"]) == \
+            (direct, 160 * 160 - direct, order)
+
     def test_default_grid_matches_reference_writer(self, tmp_path):
         r = run_cli("velocity", "--measure", CORPUS / "dirac.json", "--out-dir", tmp_path)
         assert r.returncode == 0

@@ -41,8 +41,10 @@ from logmeasure import (
     uniform_cdf,
 )
 from oracles import (
+    AtomOnGridReference,
     annulus_kinetic_oracle,
     arcsin_profile_oracle,
+    biot_savart_direct_reference,
     biot_savart_oracle,
     cantor_energy_oracle,
     circle_energy_bruteforce_oracle,
@@ -351,6 +353,96 @@ class TestVelocity:
         want, scale = biot_savart_oracle(B.points, B.weights, *g.centers())
         err = np.abs(biot_savart(B, g).values - want)
         assert np.all(err <= 1e-13 * scale[..., None])
+
+    def test_circle_matches_direct_reference_bitwise(self):
+        # the near square (3 rho = 3) covers the whole grid: all direct
+        P = circle_measure(64)
+        g = GridSpec(-1.1, -1.1, 1.1, 1.1, 64, 64)
+        field = biot_savart(P, g)
+        assert (field.direct_cells, field.expansion_cells) == (64 * 64, 0)
+        assert field.values.tobytes() == biot_savart_direct_reference(P, g).tobytes()
+
+    @pytest.mark.parametrize("radius,center,grid", [
+        (0.05, (0.013, -0.021), (-1.1, -1.1, 1.1, 1.1, 64, 64)),
+        (0.1, (-0.031, 0.017), (-1.1, -1.1, 1.1, 1.1, 64, 64)),
+        (0.05, (0.2, -0.35), (-1.1, -1.1, 1.1, 1.1, 37, 29)),
+        (0.1, (0.2, -0.35), (-1.1, -1.1, 1.1, 1.1, 37, 29)),
+        (0.1, (0.95, -0.3), (-1.1, -1.1, 1.1, 1.1, 64, 64)),  # square clipped at x = 1.1
+    ])
+    def test_blob_far_field_matches_oracle(self, radius, center, grid):
+        B = blob_approximation(radial_cdf(dirac_at(center), center), 64, radius)
+        g = GridSpec(*grid)
+        field = biot_savart(B, g)
+        assert field.direct_cells > 0 and field.expansion_cells > 0
+        assert field.expansion_order == 34
+        want, scale = biot_savart_oracle(B.points, B.weights, *g.centers())
+        err = np.abs(field.values - want)
+        assert np.all(err <= 1e-13 * scale[..., None])
+
+    def test_direct_sweep_sees_only_the_near_square(self, monkeypatch):
+        seen = []
+        sweep = planar_mod._direct_sweep
+
+        def spy(points, ws, xs, ys, sep_floor, out):
+            seen.append((xs.copy(), ys.copy()))
+            sweep(points, ws, xs, ys, sep_floor, out)
+
+        monkeypatch.setattr(planar_mod, "_direct_sweep", spy)
+        B = blob_approximation(radial_cdf(dirac_at((0.02, -0.03)), (0.02, -0.03)), 64, 0.08)
+        g = GridSpec(-1.1, -1.1, 1.1, 1.1, 64, 64)
+        field = biot_savart(B, g)
+        x0, y0 = 0.5 * (B.points.min(axis=0) + B.points.max(axis=0))
+        reach = 3.0 * np.max(np.hypot(B.points[:, 0] - x0, B.points[:, 1] - y0)) \
+            + 1e-12 * min(g.hx, g.hy)
+        xs, ys = g.centers()
+        near_x, near_y = xs[np.abs(xs - x0) <= reach], ys[np.abs(ys - y0) <= reach]
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0][0], near_x)
+        np.testing.assert_array_equal(seen[0][1], near_y)
+        assert field.direct_cells == near_x.size * near_y.size
+        assert field.expansion_cells == 64 * 64 - field.direct_cells > 0
+
+    def test_blob_sub_atom_on_cell_center_rejected(self):
+        B = blob_approximation(radial_cdf(dirac_at((0.013, -0.021)), (0.013, -0.021)), 64, 0.07)
+        g = GridSpec(-1.1, -1.1, 1.1, 1.1, 64, 64)
+        xs, ys = g.centers()
+        pts = B.points.copy()
+        pts[100] = (xs[np.argmin(np.abs(xs - pts[100, 0]))],
+                    ys[np.argmin(np.abs(ys - pts[100, 1]))])
+        P = planar_measure(pts, B.weights)
+        with pytest.raises(AtomOnGridReference):
+            biot_savart_direct_reference(P, g)
+        with pytest.raises(AtomOnGrid):
+            biot_savart(P, g)
+
+    @pytest.mark.parametrize("row", [0, -1], ids=["first_block", "last_block"])
+    @pytest.mark.parametrize("offset", [0.9, 1.1], ids=["inside", "outside"])
+    @pytest.mark.parametrize("partner", [False, True], ids=["alone", "with_partner"])
+    def test_atom_near_node_rejected_as_before(self, row, offset, partner):
+        # With a partner atom the near square covers the grid, which the
+        # direct sweep visits in several row blocks; alone, rho = 0 and only
+        # a node within sep_floor reaches the sweep.
+        g = GridSpec(-1.1, -1.1, 1.1, 1.1, 440, 440)
+        xs, ys = g.centers()
+        sep_floor = 1e-12 * min(g.hx, g.hy)
+        pts = [(xs[7] + offset * sep_floor, ys[row])] + ([(0.9, 0.0)] if partner else [])
+        P = planar_measure(pts, np.ones(len(pts)))
+        if offset < 1.0:
+            with pytest.raises(AtomOnGridReference):
+                biot_savart_direct_reference(P, g)
+            with pytest.raises(AtomOnGrid):
+                biot_savart(P, g)
+            return
+        want = biot_savart_direct_reference(P, g)
+        field = biot_savart(P, g)
+        if partner:
+            assert planar_mod._BLOCK_ELEMENTS // (g.nx * 2) < g.ny - 1  # several row blocks
+            assert field.direct_cells == 440 * 440
+            assert field.values.tobytes() == want.tobytes()
+        else:
+            assert (field.expansion_cells, field.expansion_order) == (440 * 440, 0)
+            err = np.hypot(*np.moveaxis(field.values - want, -1, 0))
+            assert np.all(err <= 1e-15 * np.hypot(*np.moveaxis(want, -1, 0)))
 
     def test_grid_validation(self):
         with pytest.raises(BadParams):
