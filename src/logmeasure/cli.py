@@ -10,11 +10,13 @@ velocity   induced velocity field on a grid plus local kinetic energy
 dimension  box-counting dimension table for a singular family
 repro      run one canned named experiment end to end
 
-Common flags: ``--measure`` (input measure JSON), ``--engine``
-(``double | one-sided | density | planar``), ``--config`` (JSON override
-file), ``--out-dir`` (where reports land), ``--depth`` and ``--tol``
-(engine ladder depth / agreement tolerance); ``repro`` takes only
-``--out-dir``.  Outputs are deterministic:
+Common flags: ``--measure`` (input measure JSON), ``--config`` (JSON
+override file) and ``--out-dir`` (where reports land).  ``energy`` (which
+also takes ``--engine``: ``double | one-sided | density | planar``) and
+``classify`` take ``--depth`` and ``--tol`` (engine ladder depth /
+agreement tolerance); ``cantor`` and ``dimension`` take ``--depth`` (the
+construction level); ``repro`` takes only ``--out-dir``.  Outputs are
+deterministic:
 JSON reports with fixed field order and 17-significant-digit floats, plus
 CSV tables using the same float formatting.
 
@@ -80,10 +82,7 @@ def _write_text(out_dir: str, name: str, text: str) -> str:
 
 
 def _config_overrides(args) -> dict:
-    cfg = _load_json(args.config) if args.config else {}
-    if not isinstance(cfg, dict):
-        raise BadParams("--config must contain a JSON object")
-    return cfg
+    return _load_json(args.config) if args.config else {}
 
 
 _QUADRATURE_KEYS = ("depth_schedule", "divergence_budget", "agreement_tol")
@@ -312,13 +311,21 @@ def _cmd_repro(args) -> int:
 # parser and entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, measure: bool = True) -> None:
+_LADDER = "engine ladder depth: partition sizes 2^4 .. 2^depth"
+
+
+def _add_common(p: argparse.ArgumentParser, measure: bool = True,
+                depth: str | None = None, tol: bool = False) -> None:
+    """The shared flags; --depth (with its help text) and --tol only where
+    the subcommand reads them."""
     if measure:
         p.add_argument("--measure", required=True, help="input measure JSON file")
     p.add_argument("--config", help="JSON file with parameter overrides")
     p.add_argument("--out-dir", default=".", help="directory for reports (default: .)")
-    p.add_argument("--depth", type=int, help="engine ladder depth / construction level")
-    p.add_argument("--tol", type=float, help="engine agreement tolerance")
+    if depth is not None:
+        p.add_argument("--depth", type=int, help=depth)
+    if tol:
+        p.add_argument("--tol", type=float, help="engine agreement tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,16 +337,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("energy", help="estimate positive log-energy")
-    _add_common(p)
+    _add_common(p, depth=_LADDER, tol=True)
     p.add_argument("--engine", choices=ENGINES, default="double")
     p.set_defaults(fn=_cmd_energy)
 
     p = sub.add_parser("classify", help="membership classification")
-    _add_common(p)
+    _add_common(p, depth=_LADDER, tol=True)
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("cantor", help="construction intervals of a singular family")
-    _add_common(p, measure=False)
+    _add_common(p, measure=False, depth="construction level of the intervals")
     p.set_defaults(fn=_cmd_cantor)
 
     p = sub.add_parser("radial", help="distance profile and projection inequality")
@@ -351,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_velocity)
 
     p = sub.add_parser("dimension", help="box-counting dimension table")
-    _add_common(p, measure=False)
+    _add_common(p, measure=False, depth="finest construction level of the fit")
     p.set_defaults(fn=_cmd_dimension)
 
     p = sub.add_parser("repro", help="run a canned named experiment")

@@ -35,6 +35,7 @@ from .measures import (
 from .energy import (
     VERDICT_DIVERGENT,
     VERDICT_FINITE,
+    _log_partial_sums,
     _tail_growing,
     energy_density,
     energy_double_stieltjes,
@@ -100,12 +101,14 @@ class HolderFit:
 
     K is inflated post-fit so the bound holds on every sampled scale
     literally; residual is the max deviation of the log-modulus from the
-    reported line (slope alpha, least-squares intercept).
+    reported line (slope alpha, least-squares intercept).  mods holds the
+    sampled modulus at each of the scales.
     """
 
     alpha: float
     K: float
     scales: tuple
+    mods: tuple
     residual: float
 
     def as_dict(self) -> dict:
@@ -113,6 +116,7 @@ class HolderFit:
             "alpha": self.alpha,
             "K": self.K,
             "scales": list(self.scales),
+            "mods": list(self.mods),
             "residual": self.residual,
         }
 
@@ -173,7 +177,8 @@ def fit_holder(
     intercept = (sy - alpha * sx) / npts
     residual = float(np.max(np.abs(lm - (intercept + alpha * ly))))
     K = math.exp(float(np.max(lm - alpha * ly)))
-    return HolderFit(alpha, K, tuple(float(y) for y in ys[pos]), residual)
+    return HolderFit(alpha, K, tuple(float(y) for y in ys[pos]),
+                     tuple(float(m) for m in mods[pos]), residual)
 
 
 def check_log_modulus(F: MonotoneCDF, beta: float, grid: np.ndarray | None = None) -> dict:
@@ -201,11 +206,7 @@ def _series_eval(term_logs, root: float) -> float:
     compensated linear-space sum whenever no term overflows a double, and
     +inf when the result itself is past the double range.
     """
-    partial = -math.inf
-    partial_logs = []
-    for tl in term_logs:
-        partial = float(np.logaddexp(partial, tl))
-        partial_logs.append(partial)
+    partial_logs = _log_partial_sums(term_logs)
     if not partial_logs or partial_logs[-1] == -math.inf:
         return 0.0
     if _tail_growing(partial_logs):
@@ -238,8 +239,8 @@ def l_log_l_gamma(f: StepDensity, gamma: float) -> float:
         raise BadParams(f"exponent must be >= 0, got {gamma}")
     term_logs = []
     for b in f.blocks:
-        mass_log = math.fsum([b.h_log, b.h_log_lo, b.d_log, b.d_log_lo])
-        h_log = b.h_log + b.h_log_lo
+        mass_log = b.mass_log()
+        h_log = b.h_log_total()
         ln1p_h = h_log + math.log1p(math.exp(-h_log))
         if gamma > 0.0:
             term_logs.append(mass_log + gamma * math.log(ln1p_h))
@@ -274,7 +275,8 @@ def classify_membership(measure, cfg: QuadratureConfig = QuadratureConfig()) -> 
     f = measure if isinstance(measure, StepDensity) else None
     F = cdf_from_step_density(f) if f is not None else measure
     j_lo, j_hi = DEFAULT_FIT_RANGE
-    grid = default_modulus_grid(F)
+    # only the modulus gates read the grid, and only for continuous CDFs
+    grid = default_modulus_grid(F) if F.continuous else None
 
     declined = []  # (rule, reason) of every gate that did not conclude
 
@@ -301,9 +303,7 @@ def classify_membership(measure, cfg: QuadratureConfig = QuadratureConfig()) -> 
             no_fit = "sampled modulus vanishes at the fitting scales"
 
     if fit is not None and fit.alpha >= LIPSCHITZ_MIN_ALPHA:
-        ys = np.asarray(fit.scales, dtype=float)
-        mods = np.asarray(sampled_modulus(F, ys, grid=grid), dtype=float)
-        K1 = float(np.max(mods / ys))
+        K1 = float(np.max(np.asarray(fit.mods) / np.asarray(fit.scales)))
         if _bound_confirmed(F, 1.0, K1, j_hi, grid=grid):
             return MembershipVerdict(
                 MEMBER_CERTIFIED,

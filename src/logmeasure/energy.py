@@ -15,8 +15,8 @@ Three engines share one bracketing discipline:
   labelled "heuristic".
 * ``energy_one_sided`` — the equivalent one-sided form
   integral over x of [ int_0^1 (F(x+y) - F(x-y))/y dy ] dF(x)
-  for continuous F, with an adaptive geometric grid in y and a
-  modulus-of-continuity bound for the y -> 0 tail.
+  for continuous F, with an adaptive geometric grid in y and the double
+  engine's modulus-of-continuity bound for the y -> 0 tail.
 * ``energy_density`` — exact closed forms for step densities, evaluated in
   log space so blocks far beyond double-precision range still combine
   exactly.
@@ -301,31 +301,16 @@ def _bracket_sums(bounds, masses, cents, lag_lo: int, lag_hi: int, keep=None):
     return lows, ups
 
 
-def _modulus_octaves(F: MonotoneCDF, j0: int, count: int):
-    """Sampled modulus w(2^-k) = sup_x F(x + 2^-k) - F(x) for k = j0 ..
-    j0+count-1, with the per-octave decay ratio of its geometric tail.
-
-    The tail below the table is extrapolated from the decay over its last
-    seven octaves: ratio 0 when the modulus reads 0 there (nothing left),
-    +inf when it does not decay by at least 0.7 (no continuity to exploit).
-    """
-    ys = 2.0 ** -np.arange(j0, j0 + count, dtype=float)
-    mods = np.asarray(sampled_modulus(F, ys), dtype=float)
-    last = float(mods[-1])
-    prev = float(mods[-8]) if mods.size >= 8 else float(mods[0])
-    if last <= 0.0:
-        return mods, 0.0
-    if prev <= 0.0 or last >= 0.7 * prev:
-        return mods, math.inf
-    return mods, (last / prev) ** (1.0 / 7.0)
-
-
 class _BallMass:
     """Upper bounds for J(m, U) = int_0^U min(m, w(u))/u du, w the sampled
     modulus, from octave sums: each octave [2^-k-1, 2^-k] contributes at most
     min(m, w(2^-k)) ln 2, the partial octave above the largest dyadic
     2^-j <= U at most m ln(U 2^j).  The table covers 2 >= u >= 2^-40; below
     it w decays geometrically at the table's last rate.
+
+    Both line engines take their modulus bounds from here: the double
+    engine's self and touching uppers, and the one-sided engine's y -> 0
+    tail.
     """
 
     K0 = -1
@@ -343,11 +328,24 @@ class _BallMass:
     @classmethod
     def of(cls, F: MonotoneCDF):
         """The bound for a continuity-certified F, or None where the sampled
-        modulus gives none (no certificate, or no decay at small scales)."""
+        modulus gives none (no certificate, or no decay at small scales).
+
+        The table is w(2^-k) = sup_x F(x + 2^-k) - F(x) for k = K0 ..
+        K0+COUNT-1.  The tail below it is extrapolated from the decay over
+        the table's last seven octaves: ratio 0 when the modulus reads 0
+        there (nothing left), no bound when it does not decay by at least
+        0.7 (no continuity to exploit).
+        """
         if not F.continuous:
             return None
-        mods, ratio = _modulus_octaves(F, cls.K0, cls.COUNT)
-        return cls(mods, ratio) if math.isfinite(ratio) else None
+        ys = 2.0 ** -np.arange(cls.K0, cls.K0 + cls.COUNT, dtype=float)
+        mods = np.asarray(sampled_modulus(F, ys), dtype=float)
+        last, prev = float(mods[-1]), float(mods[-8])
+        if last <= 0.0:
+            return cls(mods, 0.0)
+        if prev <= 0.0 or last >= 0.7 * prev:
+            return None
+        return cls(mods, (last / prev) ** (1.0 / 7.0))
 
     def _sum_from(self, a: np.ndarray) -> np.ndarray:
         """sum of w_k over table-or-extrapolated positions >= a."""
@@ -499,25 +497,6 @@ def energy_double_stieltjes(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureCo
 # One-sided engine
 
 
-def _modulus_tail_bound(F: MonotoneCDF, y_top: float) -> float:
-    """Upper bound for int_0^{y_top} (F(x+y) - F(x-y))/y dy, uniform in x.
-
-    Octave sums: the integral is at most sum over dyadic y <= y_top of
-    (sampled two-sided modulus at y) * ln 2, the two-sided modulus being at
-    most twice the one-sided one.  The 24 sampled octaves are followed by the
-    geometric tail of _modulus_octaves; without decay the bound is +inf.
-    """
-    if y_top <= 0.0:
-        return 0.0
-    j = max(0, int(math.floor(-math.log2(y_top))))
-    mods, ratio = _modulus_octaves(F, j, 24)
-    if not math.isfinite(ratio):
-        return math.inf
-    total = float(np.sum(mods)) * LN2
-    tail = float(mods[-1]) * ratio / (1.0 - ratio) * LN2
-    return 2.0 * (total + tail)
-
-
 def energy_one_sided(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureConfig()) -> EnergyEstimate:
     """One-sided form of the energy for continuous CDFs.
 
@@ -526,18 +505,22 @@ def energy_one_sided(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureConfig())
     y_j, adaptively subdivided where the rigorous per-segment brackets are
     widest (the inner increment D(x, y) = F(x+y) - F(x-y) is nondecreasing
     in y); the tail below 2^-52 is bounded by the sampled modulus of
-    continuity.  Everything the inner brackets need is the column sums
-    S_j = sum_i D(x_i, y_j): with dln_j = ln(y_{j+1}/y_j), the lower sum is
-    w sum_j S_j dln_j, the upper sum w sum_j S_{j+1} dln_j and segment j's
-    width w (S_{j+1} - S_j) dln_j.  The column sums are kept while the
-    y-grid is refined, so F is evaluated at each x_i +- y_j once per outer
-    level, on the new y values only.  The sums are plain numpy reductions
-    and einsum, never BLAS, so the result does not depend on the BLAS
-    thread count.  The outer midpoint rule is the documented heuristic part
-    of this engine's bracket, so the verdict additionally requires the outer
-    value to have drifted by at most half a tolerance over two consecutive
-    refinements.  Only depth_schedule entries in [2^8, 2^13] are used as
-    outer partition sizes; a schedule with none raises BadParams.
+    continuity w.  D(x, y) is at most 2 w(y), so the tail is at most
+    2 J(M, 2^-52), M the total mass, with J the octave bound of _BallMass
+    that the double engine uses too; where _BallMass gives no bound (the
+    modulus shows no decay) the upper is +inf.  Everything the inner
+    brackets need is the column sums S_j = sum_i D(x_i, y_j): with
+    dln_j = ln(y_{j+1}/y_j), the lower sum is w sum_j S_j dln_j, the upper
+    sum w sum_j S_{j+1} dln_j and segment j's width w (S_{j+1} - S_j) dln_j.
+    The column sums are kept while the y-grid is refined, so F is evaluated
+    at each x_i +- y_j once per outer level, on the new y values only.  The
+    sums are plain numpy reductions and einsum, never BLAS, so the result
+    does not depend on the BLAS thread count.  The outer midpoint rule is
+    the documented heuristic part of this engine's bracket, so the verdict
+    additionally requires the outer value to have drifted by at most half a
+    tolerance over two consecutive refinements.  Only depth_schedule entries
+    in [2^8, 2^13] are used as outer partition sizes; a schedule with none
+    raises BadParams.
     """
     if not F.continuous:
         raise DiscontinuousInput(
@@ -553,7 +536,8 @@ def energy_one_sided(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureConfig())
         )
     M = F.total_mass
     y_min = 2.0**-52
-    tail_up = _modulus_tail_bound(F, y_min)
+    ball = _BallMass.of(F)
+    tail_up = math.inf if ball is None else 2.0 * float(ball.integral(M, y_min))
     trace = []
     prev_value = None
     ok_streak = 0
@@ -735,6 +719,18 @@ def _cross_pair_energy(bi, bj) -> float:
     return m_pt * math.exp(h_log + math.log(integral))
 
 
+def _log_partial_sums(term_logs) -> list:
+    """ln of the partial sums of exp(term_logs), accumulated in log space so
+    that terms past the double range still combine; a term of -inf adds
+    nothing."""
+    partial = -math.inf
+    partial_logs = []
+    for tl in term_logs:
+        partial = float(np.logaddexp(partial, tl))
+        partial_logs.append(partial)
+    return partial_logs
+
+
 def _tail_growing(partial_logs) -> bool:
     """Sentinel test: log partial sums still climbing across the last
     _GROWTH_WINDOW blocks."""
@@ -758,17 +754,14 @@ def step_lower_bound(f: StepDensity) -> dict:
     _GROWTH_WINDOW blocks.
     """
     terms = []
-    partial_logs = []
-    partial_log = -math.inf
+    term_logs = []
     for b in f.blocks:
         e_log = math.fsum([2.0 * b.h_log, 2.0 * b.h_log_lo, 2.0 * b.d_log, 2.0 * b.d_log_lo])
         neg_ld = -b.d_log_total()
-        if neg_ld > 0.0:
-            partial_log = float(np.logaddexp(partial_log, e_log + math.log(neg_ld)))
-        partial_logs.append(partial_log)
+        term_logs.append(e_log + math.log(neg_ld) if neg_ld > 0.0 else -math.inf)
         terms.append(math.inf if e_log > 700.0 else math.exp(e_log) * max(neg_ld, 0.0))
     return {"terms": terms, "partial_sum": math.fsum(terms),
-            "diverging": _tail_growing(partial_logs)}
+            "diverging": _tail_growing(_log_partial_sums(term_logs))}
 
 
 def energy_density(f: StepDensity, cfg: QuadratureConfig = QuadratureConfig()) -> EnergyEstimate:

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import (BadBeta, BadParams, BudgetExceeded, DepthExceeded,
                      TooFewPoints)
-from .measures import KIND_CANTOR_ITERATE, MonotoneCDF
+from .measures import (KIND_CANTOR_ITERATE, MonotoneCDF, default_modulus_grid,
+                       sampled_modulus)
 
 __all__ = [
     "CantorSpec",
@@ -343,8 +344,6 @@ def log_modulus_certificate(spec: CantorSpec) -> LogModulusReport:
         if 2.0 ** -40 <= dn <= eps:
             scales.append(dn)
     scales = sorted(set(scales), reverse=True)
-
-    from .measures import default_modulus_grid, sampled_modulus
 
     grid = default_modulus_grid(F, LOG_MODULUS_SAMPLES)
     mods = np.atleast_1d(sampled_modulus(F, np.array(scales), grid=grid))

@@ -591,7 +591,6 @@ def sampled_modulus(F: MonotoneCDF, ys, grid: np.ndarray | None = None):
     if np.any(ys_arr < 0):
         raise BadParams("modulus scales must be >= 0")
     base = eval_cdf(F, grid)
-    out = np.empty(ys_arr.shape, dtype=float)
     flat = ys_arr.reshape(-1)
     res = np.empty(flat.shape, dtype=float)
     for i, y in enumerate(flat):

@@ -43,6 +43,7 @@ from .energy import (
     VERDICT_DIVERGENT,
     VERDICT_FINITE,
     VERDICT_INCONCLUSIVE,
+    _kern_inplace,
     energy_double_stieltjes,
 )
 from .measures import (MonotoneCDF, QuadratureConfig, _fsum, _ginv_array,
@@ -109,18 +110,6 @@ BLOB_RING_POINTS = 8
 # equidistant (e.g. a unit circle about its center) split into 2-3 radii one
 # ulp apart and the radial projection loses its collapse behavior.
 _RADIUS_SNAP_RTOL = 8.0 * np.finfo(float).eps
-
-
-def _kern2d(d: np.ndarray) -> np.ndarray:
-    """Vector log-plus kernel with the planar convention k(0) = +inf, in place.
-
-    A zero pairwise distance means a genuine atom of the cloud, whose energy
-    really is infinite, so the lower bracket is allowed to be +inf here
-    (unlike the quadrature engines, which floor widths instead).
-    """
-    with np.errstate(divide="ignore"):
-        np.log(d, out=d)
-    return np.maximum(np.negative(d, out=d), 0.0, out=d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,8 +357,14 @@ def _pair_blocks(points: np.ndarray):
 
 
 def _block_pair_sum(d: np.ndarray, weights: np.ndarray, i0: int) -> float:
-    """Sum of w_i w_j k(d_ij) over one block's i < j entries; overwrites d."""
-    ks = _kern2d(d)
+    """Sum of w_i w_j k(d_ij) over one block's i < j entries; overwrites d.
+
+    k(0) = +inf: a zero pairwise distance means a genuine atom of the cloud,
+    whose energy really is infinite, so the lower bracket may be +inf here
+    (unlike the quadrature engines, which floor widths instead).
+    """
+    with np.errstate(divide="ignore"):
+        ks = _kern_inplace(d)
     np.copyto(ks[:, :len(ks)], 0.0, where=np.tri(len(ks), dtype=bool))
     rows = np.einsum("ij,j->i", ks, weights[i0:])
     return float(np.einsum("i,i->", weights[i0:i0 + len(ks)], rows))
@@ -391,7 +386,8 @@ def _surcharge(weights: np.ndarray, diam: np.ndarray | None) -> float:
     """Self-interaction surcharge sum of w_i^2 k(diam_i); +inf if unknown."""
     if diam is None:
         return math.inf
-    return float(np.sum(weights**2 * _kern2d(diam.copy())))
+    with np.errstate(divide="ignore"):
+        return float(np.sum(weights**2 * _kern_inplace(diam.copy())))
 
 
 def _family_schedule(kind: str) -> tuple:

@@ -285,6 +285,19 @@ class TestReproCommand:
         assert "--config" in r.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("radial", "--measure", CORPUS / "circle64.json", "--tol", "0.1"),
+        ("velocity", "--measure", CORPUS / "dirac.json", "--depth", "6"),
+        ("cantor", "--config", CORPUS / "cantor3.json", "--tol", "0.1"),
+        ("dimension", "--config", CORPUS / "cantor3.json", "--tol", "0.1"),
+    ], ids=["radial-tol", "velocity-depth", "cantor-tol", "dimension-tol"])
+    def test_unread_flag_rejected(self, tmp_path, argv):
+        out = tmp_path / "out"
+        r = run_cli(*argv, "--out-dir", out)
+        assert r.returncode == 2
+        assert argv[-2] in r.stderr
+        assert not out.exists()
+
     def test_dimension_table_scenario(self, tmp_path):
         r = run_cli("repro", "dimension-table", "--out-dir", tmp_path)
         assert r.returncode == 0

@@ -25,6 +25,7 @@ from logmeasure import (
     table_cdf,
     uniform_cdf,
 )
+import logmeasure.criteria as criteria_mod
 from logmeasure.fractal import cantor_cdf, general_ratio_spec, standard_cantor_spec
 from logmeasure.planar import power_law_profile
 from oracles import cantor_modulus_oracle, staircase_llogl_oracle
@@ -73,7 +74,13 @@ class TestFitHolder:
     def test_as_dict(self):
         fit = fit_holder(power_law_cdf(1.0, 0.5, 1.0), 4, 16)
         d = fit.as_dict()
-        assert set(d) >= {"alpha", "K", "residual"}
+        assert set(d) >= {"alpha", "K", "residual", "mods"}
+
+    def test_mods_are_the_sampled_modulus_at_the_scales(self):
+        F = cantor_cdf(standard_cantor_spec(3.0))
+        fit = fit_holder(F, 4, 16)
+        assert len(fit.mods) == len(fit.scales) == 13
+        assert fit.mods == tuple(modulus_of_continuity(F, y) for y in fit.scales)
 
 
 class TestCheckLogModulus:
@@ -131,6 +138,37 @@ class TestIntegrabilityFunctionals:
         assert v == pytest.approx(staircase_llogl_oracle(0.4), rel=1e-9)
         assert l_log_l_gamma(f50, 0.5) == math.inf
         assert l_log_l_gamma(f50, 0.6) == math.inf
+
+
+class TestClassifierSampling:
+    """The classifier samples each modulus scale once."""
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        seen = []
+        original = getattr(criteria_mod, name)
+
+        def spy(F, *args, **kwargs):
+            seen.append(args[0] if args else None)
+            return original(F, *args, **kwargs)
+
+        monkeypatch.setattr(criteria_mod, name, spy)
+        return seen
+
+    def test_lipschitz_gate_reuses_the_fit(self, monkeypatch):
+        seen = self._spy(monkeypatch, "sampled_modulus")
+        v = classify_membership(uniform_cdf())
+        assert v.rule == "Lipschitz"
+        # 13 fitting scales 2^-4 .. 2^-16, then 4 out-of-sample ones
+        assert sum(np.size(ys) for ys in seen) == 17
+
+    def test_grid_only_for_continuous_cdfs(self, monkeypatch):
+        seen = self._spy(monkeypatch, "default_modulus_grid")
+        v = classify_membership(table_cdf([0.0, 0.5, 1.0], [0.2, 0.7, 1.0]))
+        assert v.rule == "EnergyDirect"
+        assert seen == []
+        classify_membership(uniform_cdf())
+        assert len(seen) == 1
 
 
 class TestClassifier:

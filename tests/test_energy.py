@@ -142,6 +142,48 @@ class TestOneSidedPrecondition:
         assert est.upper - est.lower <= 1e-2
 
 
+class TestOneSidedModulusTail:
+    """The y -> 0 tail is 2 J(M, 2^-52) from the double engine's _BallMass."""
+
+    CFG = QuadratureConfig(depth_schedule=(256,))
+
+    @staticmethod
+    def _placed(alpha):
+        F = power_law_cdf(1.0, alpha, 1.0)
+        return [F, translate_cdf(F, 1.7), translate_cdf(F, -1.3)]
+
+    def test_upper_does_not_depend_on_position(self):
+        ups = [energy_one_sided(F, self.CFG).upper for F in self._placed(0.08)]
+        assert max(ups) - min(ups) <= 1e-6
+
+    def test_moved_upper_carries_the_ball_mass_tail(self):
+        F = translate_cdf(power_law_cdf(1.0, 0.08, 1.0), 1.7)
+        est = energy_one_sided(F, self.CFG)
+        tail = 2.0 * float(_BallMass.of(F).integral(1.0, 2.0**-52))
+        # the tail alone is at least what the support edge contributes,
+        # int_0^{2^-52} y^(alpha - 1) dy
+        assert tail >= 2.0**(-52 * 0.08) / 0.08
+        assert est.upper - est.lower >= tail
+
+    def test_no_decay_gives_no_upper_anywhere(self):
+        for F in self._placed(0.05):
+            assert _BallMass.of(F) is None
+            est = energy_one_sided(F, self.CFG)
+            assert est.upper == math.inf and est.verdict == VERDICT_INCONCLUSIVE
+
+    def test_never_samples_below_the_table(self, monkeypatch):
+        scales = []
+        sample = energy_mod.sampled_modulus
+
+        def spy(F, ys, grid=None):
+            scales.extend(np.atleast_1d(ys).tolist())
+            return sample(F, ys, grid=grid)
+
+        monkeypatch.setattr(energy_mod, "sampled_modulus", spy)
+        energy_one_sided(self._placed(0.5)[1], self.CFG)
+        assert scales and min(scales) == 2.0**-40
+
+
 class TestTransformsOfEnergy:
     def test_mass_scaling_is_quadratic(self):
         F = uniform_cdf(0.0, 1.0, 1.0)
