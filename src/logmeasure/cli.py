@@ -18,7 +18,9 @@ agreement tolerance); ``cantor`` and ``dimension`` take ``--depth`` (the
 construction level); ``repro`` takes only ``--out-dir``.  Outputs are
 deterministic:
 JSON reports with fixed field order and 17-significant-digit floats, plus
-CSV tables using the same float formatting.
+CSV tables using the same float formatting.  Measure and ``--config``
+files are read against the io module's key tables (``energy`` takes its
+engine's from ``_ENGINE_KEYS``).
 
 Exit codes: 0 for a decisive result (FiniteConverged or Divergent; a
 certified classification; a passing scenario), 1 for malformed input or
@@ -42,10 +44,9 @@ from .energy import (
 from .criteria import UNKNOWN, classify_membership
 from .errors import BadParams, LogMeasureError
 from .fractal import box_counting_dimension, cantor_intervals
-from .io import _fmt as fmt
-from .measures import MonotoneCDF, QuadratureConfig, StepDensity, cdf_from_step_density
+from .io import _fmt as fmt, _read
+from .measures import QuadratureConfig, StepDensity, cdf_from_step_density
 from .planar import (
-    GridSpec,
     biot_savart,
     energy_planar,
     local_kinetic_energy,
@@ -55,9 +56,11 @@ from .planar import (
 )
 from .scenarios import SCENARIO_NAMES, run_scenario
 
-_PLANAR_KINDS = ("circle", "dirac", "line", "planar_points")
-
-ENGINES = ("double", "one-sided", "density", "planar")
+# The --config keys of each engine: the quadrature settings it reads.
+_ENGINE_KEYS = {"double": lio.QUADRATURE_KEYS, "one-sided": lio.QUADRATURE_KEYS,
+                "density": {"divergence_budget": lio.QUADRATURE_KEYS["divergence_budget"]},
+                "planar": {}}
+ENGINES = tuple(_ENGINE_KEYS)
 
 
 def _load_json(path: str) -> dict:
@@ -68,8 +71,6 @@ def _load_json(path: str) -> dict:
         raise BadParams(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise BadParams(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise BadParams(f"{path}: top-level JSON value must be an object")
     return doc
 
 
@@ -81,27 +82,24 @@ def _write_text(out_dir: str, name: str, text: str) -> str:
     return path
 
 
-def _config_overrides(args) -> dict:
-    return _load_json(args.config) if args.config else {}
+def _config(args, keys: dict) -> dict:
+    """The --config file read with the key table ``keys`` (none: defaults)."""
+    return _read(_load_json(args.config) if args.config else {}, keys, "--config")
 
 
-_QUADRATURE_KEYS = ("depth_schedule", "divergence_budget", "agreement_tol")
-
-
-def _quadrature_config(args, overrides: dict) -> QuadratureConfig:
-    unknown = sorted(set(overrides) - set(_QUADRATURE_KEYS))
-    if unknown:
-        raise BadParams(f"unknown --config key {unknown[0]!r}; "
-                        f"accepted keys: {', '.join(_QUADRATURE_KEYS)}")
-    kwargs = {k: overrides[k] for k in _QUADRATURE_KEYS if k in overrides}
-    if "depth_schedule" in kwargs:
-        kwargs["depth_schedule"] = tuple(int(n) for n in kwargs["depth_schedule"])
+def _quadrature_config(args, keys: dict) -> QuadratureConfig:
+    """The --config keys, then --depth and --tol, which may set only keys of ``keys``."""
+    kwargs = _config(args, keys)
     if args.depth is not None:
         if args.depth < 4:
             raise BadParams("--depth must be at least 4 (partition ladder 2^4..2^depth)")
         kwargs["depth_schedule"] = tuple(2**k for k in range(4, args.depth + 1))
     if args.tol is not None:
         kwargs["agreement_tol"] = args.tol
+    unread = sorted(set(kwargs) - set(keys))
+    if unread:
+        raise BadParams(f"--depth/--tol set {', '.join(unread)}, which this engine does not "
+                        f"read; accepted keys: {', '.join(keys) or 'none'}")
     return QuadratureConfig(**kwargs)
 
 
@@ -110,21 +108,13 @@ def _quadrature_config(args, overrides: dict) -> QuadratureConfig:
 # ---------------------------------------------------------------------------
 
 def _cmd_energy(args) -> int:
-    overrides = _config_overrides(args)
-    doc = _load_json(args.measure)
-    kind = doc.get("kind")
     engine = args.engine
+    cfg = _quadrature_config(args, _ENGINE_KEYS[engine])
+    doc = _load_json(args.measure)
     if engine == "planar":
-        if kind not in _PLANAR_KINDS:
-            raise BadParams(f"engine 'planar' needs a planar measure, got kind {kind!r}")
         est = energy_planar(lio.planar_from_json(doc))
     else:
-        if kind in _PLANAR_KINDS:
-            raise BadParams(
-                f"engine {engine!r} works on line measures; use --engine planar for kind {kind!r}"
-            )
         m = lio.measure_from_json(doc)
-        cfg = _quadrature_config(args, overrides)
         if engine == "density":
             if not isinstance(m, StepDensity):
                 raise BadParams("engine 'density' needs a step_density measure")
@@ -143,12 +133,9 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    overrides = _config_overrides(args)
+    cfg = _quadrature_config(args, lio.QUADRATURE_KEYS)
     doc = _load_json(args.measure)
-    if doc.get("kind") in _PLANAR_KINDS:
-        raise BadParams("classify works on line measures (CDFs and step densities)")
     m = lio.measure_from_json(doc)
-    cfg = _quadrature_config(args, overrides)
     verdict = classify_membership(m, cfg)
     report = {"measure": doc, "classification": verdict.as_dict()}
     jpath = _write_text(args.out_dir, "classify.json", lio.dumps(report))
@@ -158,11 +145,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_cantor(args) -> int:
-    overrides = _config_overrides(args)
-    if not overrides:
-        raise BadParams("cantor needs --config with a construction document "
-                        '(e.g. {"kind": "cantor", "family": "standardK", "K": 3, "depth": 30})')
-    spec = lio.cantor_spec_from_json(overrides)
+    spec = lio._cantor_spec(_config(args, lio.CANTOR_KEYS))
     level = args.depth if args.depth is not None else min(spec.depth, 10)
     ints = cantor_intervals(spec, level)
     report = {
@@ -180,26 +163,15 @@ def _cmd_cantor(args) -> int:
 
 
 def _cmd_radial(args) -> int:
-    overrides = _config_overrides(args)
+    v = _config(args, lio.RADIAL_KEYS)
     doc = _load_json(args.measure)
-    if doc.get("kind") not in _PLANAR_KINDS:
-        raise BadParams("radial needs a planar measure file")
     P = lio.planar_from_json(doc)
-    center = overrides.get("center", [0.0, 0.0])
-    if not (isinstance(center, (list, tuple)) and len(center) == 2):
-        raise BadParams('config "center" must be a pair [x, y]')
-    x0 = (float(center[0]), float(center[1]))
+    x0 = v["center"]
     prof = radial_cdf(P, x0)
     ineq = radial_inequality_check(P, x0)
-    tags = overrides.get("pushforward", ["r^2", "min(r,1)", "1"])
-    push = []
-    for tag in tags:
-        res = radial_pushforward_check(P, x0, str(tag))
-        row = {"h": str(tag)}
-        row.update(res)
-        push.append(row)
+    push = [radial_pushforward_check(P, x0, tag) for tag in v["pushforward"]]
     report = {
-        "center": [x0[0], x0[1]],
+        "center": list(x0),
         "profile_mass": prof.G.total_mass,
         "inequality": {
             "lhs_lower": ineq["lhs_lower"],
@@ -224,28 +196,16 @@ def _profile_grid(prof, size: int = 1025) -> list:
 
 
 def _cmd_velocity(args) -> int:
-    overrides = _config_overrides(args)
+    v = _config(args, lio.VELOCITY_KEYS)
     doc = _load_json(args.measure)
-    if doc.get("kind") not in _PLANAR_KINDS:
-        raise BadParams("velocity needs a planar measure file")
     P = lio.planar_from_json(doc)
-    g = overrides.get("grid", {})
-    grid = GridSpec(
-        lo_x=float(g.get("lo_x", -2.0)), lo_y=float(g.get("lo_y", -2.0)),
-        hi_x=float(g.get("hi_x", 2.0)), hi_y=float(g.get("hi_y", 2.0)),
-        nx=int(g.get("nx", 160)), ny=int(g.get("ny", 160)),
-    )
-    field = biot_savart(P, grid)
-    center = overrides.get("center", [0.0, 0.0])
-    r_out = float(overrides.get("r_out", 1.0))
-    r_in = float(overrides.get("r_in", 0.0))
-    ke = local_kinetic_energy(field, (float(center[0]), float(center[1])), r_out, r_in)
+    field = biot_savart(P, v["grid"])
+    ke = local_kinetic_energy(field, v["center"], v["r_out"], v["r_in"])
     report = {
-        "grid": {"lo_x": grid.lo_x, "lo_y": grid.lo_y, "hi_x": grid.hi_x,
-                 "hi_y": grid.hi_y, "nx": grid.nx, "ny": grid.ny},
-        "center": [float(center[0]), float(center[1])],
-        "r_out": r_out,
-        "r_in": r_in,
+        "grid": {k: getattr(v["grid"], k) for k in lio.GRID_KEYS},
+        "center": list(v["center"]),
+        "r_out": v["r_out"],
+        "r_in": v["r_in"],
         "kinetic_energy": ke,
         "direct_cells": field.direct_cells,
         "expansion_cells": field.expansion_cells,
@@ -253,19 +213,16 @@ def _cmd_velocity(args) -> int:
     }
     jpath = _write_text(args.out_dir, "velocity.json", lio.dumps(report))
     cpath = _write_text(args.out_dir, "velocity.csv", lio.velocity_csv(field))
-    print(f"kinetic_energy={fmt(ke)} over annulus [{fmt(r_in)}, {fmt(r_out)}]")
+    print(f"kinetic_energy={fmt(ke)} over annulus [{fmt(v['r_in'])}, {fmt(v['r_out'])}]")
     print(f"wrote {jpath} and {cpath}")
     return 0
 
 
 def _cmd_dimension(args) -> int:
-    overrides = _config_overrides(args)
-    if not overrides:
-        raise BadParams("dimension needs --config with a construction document")
-    fit = overrides.pop("fit", {})
-    spec = lio.cantor_spec_from_json(overrides)
-    n_min = int(fit.get("n_min", 4))
-    n_max = args.depth if args.depth is not None else int(fit.get("n_max", 16))
+    v = _config(args, lio.DIMENSION_KEYS)
+    spec = lio._cantor_spec(v)
+    n_min = v["fit"]["n_min"]
+    n_max = args.depth if args.depth is not None else v["fit"]["n_max"]
     est = box_counting_dimension(spec, n_min, n_max)
     report = {
         "spec": lio.cantor_spec_to_json(spec),

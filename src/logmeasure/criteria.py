@@ -58,6 +58,7 @@ __all__ = [
     "modulus_of_continuity",
     "fit_holder",
     "check_log_modulus",
+    "log_modulus_checks",
     "lp_norm",
     "l_log_l_gamma",
     "classify_membership",
@@ -188,15 +189,23 @@ def check_log_modulus(F: MonotoneCDF, beta: float, grid: np.ndarray | None = Non
     the largest modulus * |ln y|**beta seen, and holds means it stayed at
     or below 1.
     """
-    if not beta > 1.0:
-        raise BadBeta(f"log-modulus exponent must be > 1, got {beta}")
-    eps = math.exp(-(beta + 1.0))
-    j0 = int(math.ceil(-math.log2(eps)))
-    ys = 2.0 ** -np.arange(j0, 41, dtype=float)
+    return log_modulus_checks(F, (beta,), grid)[0]
+
+
+def log_modulus_checks(F: MonotoneCDF, betas, grid: np.ndarray | None = None) -> list:
+    """check_log_modulus at each beta, from one modulus sample that runs
+    from the largest of their first scales 2^-j0 down to 2^-40."""
+    if not min(betas) > 1.0:
+        raise BadBeta(f"log-modulus exponent must be > 1, got {min(betas)}")
+    j0s = [int(math.ceil(-math.log2(math.exp(-(beta + 1.0))))) for beta in betas]
+    ys = 2.0 ** -np.arange(min(j0s), 41, dtype=float)
     mods = np.asarray(sampled_modulus(F, ys, grid=grid), dtype=float)
-    ratios = mods * np.abs(np.log(ys)) ** beta
-    worst = float(np.max(ratios))
-    return {"holds": bool(worst <= 1.0 + 1e-9), "eps_used": eps, "worst_ratio": worst}
+    reports = []
+    for beta, k in zip(betas, np.subtract(j0s, min(j0s))):
+        worst = float(np.max(mods[k:] * np.abs(np.log(ys[k:])) ** beta))
+        reports.append({"holds": bool(worst <= 1.0 + 1e-9),
+                        "eps_used": math.exp(-(beta + 1.0)), "worst_ratio": worst})
+    return reports
 
 
 def _series_eval(term_logs, root: float) -> float:
@@ -339,8 +348,8 @@ def classify_membership(measure, cfg: QuadratureConfig = QuadratureConfig()) -> 
 
     if F.continuous:
         worst = []
-        for beta in LOG_MODULUS_BETAS:
-            rep = check_log_modulus(F, beta, grid=grid)
+        for beta, rep in zip(LOG_MODULUS_BETAS,
+                             log_modulus_checks(F, LOG_MODULUS_BETAS, grid)):
             if rep["holds"]:
                 return MembershipVerdict(
                     MEMBER_CERTIFIED,

@@ -43,12 +43,12 @@ from .errors import (
     ZeroMass,
 )
 from .measures import (
-    INVERSE_TOL_FLOOR,
     LN2,
     MonotoneCDF,
     QuadratureConfig,
     StepDensity,
     _ginv_array,
+    _inverse_tol,
     _partition_arrays,
     eval_cdf,
     sampled_modulus,
@@ -457,8 +457,7 @@ def energy_double_stieltjes(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureCo
     """Bracketed double-Stieltjes energy of the measure dF."""
     if F.total_mass <= 0.0:
         raise ZeroMass("energy of the zero measure requires positive mass")
-    span = F.support_hi - F.support_lo
-    atom_floor = 64.0 * max(span * 2.0**-52, INVERSE_TOL_FLOOR)
+    atom_floor = 64.0 * _inverse_tol(F)
     ball = _BallMass.of(F)
     kind = UPPER_MODULUS if ball is not None else UPPER_HEURISTIC
     trace = []

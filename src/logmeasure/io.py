@@ -1,8 +1,9 @@
 """Deterministic JSON and CSV serialization.
 
-Measure documents have the shape {"kind": ..., "params": {...}}; supported
-kinds are "uniform", "power_law", "step_density", "cantor", "table", and
-the planar cloud kinds "circle", "dirac", "planar_points", "line".  Energy
+Measure documents have the shape {"kind": ..., "params": {...}}, with the
+params keys of each kind in the key tables LINE_KEYS and PLANAR_KEYS; the
+"cantor" kind has CANTOR_KEYS at the top level.  _read reads every JSON
+document (these and the CLI's --config files) against its key table.  Energy
 estimates, membership verdicts, refinement traces, interval lists, and
 velocity fields serialize to fixed-field-order JSON or CSV.
 
@@ -14,12 +15,13 @@ back on load.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 
-from .errors import BadParams
+from .errors import BadParams, LogMeasureError
 from .fractal import (
     FAMILY_GENERAL,
     FAMILY_STANDARD,
@@ -36,6 +38,7 @@ from .measures import (
     KIND_TABLE_SAMPLED,
     Block,
     MonotoneCDF,
+    QuadratureConfig,
     StepDensity,
     power_law_cdf,
     table_cdf,
@@ -45,6 +48,7 @@ from .planar import (
     PROV_CIRCLE,
     PROV_DIRAC,
     PROV_LINE,
+    GridSpec,
     PlanarMeasure,
     VelocityField,
     circle_measure,
@@ -125,10 +129,103 @@ def _as_float(v) -> float:
             return -math.inf
         if v == "nan":
             return math.nan
-        raise BadParams(f"expected a number, got the string {v!r}")
+        raise ValueError(f"expected a number, got the string {v!r}")
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise BadParams(f"expected a number, got {v!r}")
+        raise ValueError(f"expected a number, got {v!r}")
     return float(v)
+
+
+# ----------------------------------------------------------------------
+# Key tables
+
+
+_REQUIRED = object()  # the default of a key that must be present
+
+
+def _read(doc, keys: dict, what: str) -> dict:
+    """Each key of the table ``keys`` (key -> (converter, default)) with
+    its converted value in the object ``doc``, or its converted default.
+    Other keys, missing required keys and values the converter rejects
+    raise BadParams naming the key, the accepted keys and ``what``."""
+    accepted = f"accepted keys: {', '.join(keys) or 'none'}"
+    if not isinstance(doc, dict):
+        raise BadParams(f"{what} must be a JSON object; {accepted}")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise BadParams(f"unknown {what} key {unknown[0]!r}; {accepted}")
+    out = {}
+    for key, (convert, default) in keys.items():
+        if key not in doc and default is _REQUIRED:
+            raise BadParams(f"{what} needs the key {key!r}; {accepted}")
+        try:
+            out[key] = convert(doc.get(key, default))
+        except LogMeasureError:  # from a nested document: it names its key
+            raise
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
+            raise BadParams(f"{what} key {key!r}: {exc}; {accepted}") from None
+    return out
+
+
+def _list(v, n: int = 0) -> list:
+    """v if it is a JSON list of n items, or of at least one when n is 0."""
+    if not isinstance(v, list) or (len(v) != n if n else not v):
+        raise ValueError(f"expected a list of {n or 'one or more'} items")
+    return v
+
+
+def _floats(v, n: int) -> tuple:
+    return tuple(_as_float(x) for x in _list(v, n))
+
+
+_POINT = (lambda v: _floats(v, 2), [0.0, 0.0])
+BLOCK_KEYS = {"a": (_as_float, _REQUIRED), "log_d": (_as_float, _REQUIRED),  # Block's order
+              "log_h": (_as_float, _REQUIRED), "log_d_lo": (_as_float, 0.0),
+              "log_h_lo": (_as_float, 0.0)}
+LINE_KEYS = {
+    "uniform": {"lo": (_as_float, 0.0), "hi": (_as_float, 1.0), "mass": (_as_float, 1.0)},
+    "power_law": {"c": (_as_float, 1.0), "alpha": (_as_float, 0.5), "R": (_as_float, 1.0)},
+    "step_density": {"blocks": (lambda v: tuple(
+        Block(*_read(b, BLOCK_KEYS, "step_density block").values()) for b in _list(v)),
+        _REQUIRED)},
+    "table": {"points": (lambda v: [_floats(p, 2) for p in _list(v)], _REQUIRED)},
+}
+CANTOR_KEYS = {"kind": ({"cantor": "cantor"}.__getitem__, _REQUIRED),
+               "family": (_FAMILY_FROM_NAME.__getitem__, "standardK"),
+               "K": (_as_float, 3.0), "beta": (_as_float, 2.0), "depth": (int, 30)}
+PLANAR_KEYS = {
+    "circle": {"n": (int, 256)},
+    "dirac": {"point": _POINT, "mass": (_as_float, 1.0)},
+    "line": {"cdf": (lambda v: measure_from_json(v), _REQUIRED), "n": (int, 256)},
+    "planar_points": {"points": (lambda v: [_floats(p, 3) for p in _list(v)], _REQUIRED)},
+}
+_ENVELOPE = {"kind": (str, _REQUIRED), "params": (lambda v: v, {})}
+
+# The --config documents of the subcommands (see the cli module).
+QUADRATURE_KEYS = {f.name: (_as_float, f.default) for f in dataclasses.fields(QuadratureConfig)}
+QUADRATURE_KEYS["depth_schedule"] = (lambda v: tuple(int(n) for n in v),
+                                     QuadratureConfig.depth_schedule)
+RADIAL_KEYS = {"center": _POINT, "pushforward": (
+    lambda v: tuple(str(tag) for tag in _list(v)), ["r^2", "min(r,1)", "1"])}
+GRID_KEYS = {"lo_x": (_as_float, -2.0), "lo_y": (_as_float, -2.0), "hi_x": (_as_float, 2.0),
+             "hi_y": (_as_float, 2.0), "nx": (int, 160), "ny": (int, 160)}
+VELOCITY_KEYS = {"grid": (lambda v: GridSpec(**_read(v, GRID_KEYS, "--config grid")), {}),
+                 "center": _POINT, "r_out": (_as_float, 1.0), "r_in": (_as_float, 0.0)}
+FIT_KEYS = {"n_min": (int, 4), "n_max": (int, 16)}
+DIMENSION_KEYS = {**CANTOR_KEYS,
+                  "fit": (lambda v: _read(v, FIT_KEYS, "--config fit"), {})}
+
+
+def _params(doc, tables: dict, what: str) -> tuple:
+    """The kind of a {"kind", "params"} document and its params, read."""
+    kind, params = _read(doc, _ENVELOPE, f"{what} document").values()
+    if kind not in tables:
+        raise BadParams(f"unknown {what} kind {kind!r}")
+    return kind, _read(params, tables[kind], kind)
+
+
+def _doc(kind: str, tables: dict, values) -> dict:
+    """The {"kind", "params"} document with the kind's keys, in table order."""
+    return {"kind": kind, "params": dict(zip(tables[kind], values, strict=True))}
 
 
 # ----------------------------------------------------------------------
@@ -138,35 +235,23 @@ def _as_float(v) -> float:
 def measure_to_json(m) -> dict:
     """A line measure (CDF or step density) as a measure document."""
     if isinstance(m, StepDensity):
-        blocks = [
-            {"a": b.a, "log_d": b.d_log, "log_h": b.h_log,
-             "log_d_lo": b.d_log_lo, "log_h_lo": b.h_log_lo}
-            for b in m.blocks
-        ]
-        return {"kind": "step_density", "params": {"blocks": blocks}}
+        blocks = [dict(zip(BLOCK_KEYS, dataclasses.astuple(b), strict=True)) for b in m.blocks]
+        return _doc("step_density", LINE_KEYS, (blocks,))
     if isinstance(m, CantorSpec):
         return cantor_spec_to_json(m)
     if not isinstance(m, MonotoneCDF):
         raise BadParams(f"cannot serialize {type(m).__name__} as a measure")
     if "scaled_by" in m.params or "translated_by" in m.params:
         raise BadParams("scaled/translated measures have no document form")
+    p = m.params
     if m.kind == KIND_PIECEWISE_LINEAR:
-        p = m.params
-        return {"kind": "uniform",
-                "params": {"lo": p["lo"], "hi": p["hi"], "mass": p["mass"]}}
+        return _doc("uniform", LINE_KEYS, (p["lo"], p["hi"], p["mass"]))
     if m.kind == KIND_POWER_LAW:
-        p = m.params
-        return {"kind": "power_law",
-                "params": {"c": p["c"], "alpha": p["alpha"], "R": p["R"]}}
+        return _doc("power_law", LINE_KEYS, (p["c"], p["alpha"], p["R"]))
     if m.kind == KIND_CANTOR_ITERATE:
-        p = m.params
-        spec = (standard_cantor_spec(p["K"], p["depth"])
-                if p["family"] == FAMILY_STANDARD
-                else general_ratio_spec(p["beta"], p["depth"]))
-        return cantor_spec_to_json(spec)
+        return cantor_spec_to_json(_cantor_spec(p))
     if m.kind == KIND_TABLE_SAMPLED:
-        pts = [[x, f] for x, f in zip(m.params["xs"], m.params["fs"])]
-        return {"kind": "table", "params": {"points": pts}}
+        return _doc("table", LINE_KEYS, ([[x, f] for x, f in zip(p["xs"], p["fs"])],))
     raise BadParams(f"measure kind {m.kind!r} has no document form")
 
 
@@ -176,64 +261,33 @@ def measure_from_json(doc: dict):
     Returns a MonotoneCDF for "uniform"/"power_law"/"cantor"/"table" and a
     StepDensity for "step_density".
     """
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise BadParams("measure document needs a 'kind' field")
-    kind = doc["kind"]
-    params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise BadParams("'params' must be an object")
-    if kind == "uniform":
-        return uniform_cdf(_as_float(params.get("lo", 0.0)),
-                           _as_float(params.get("hi", 1.0)),
-                           _as_float(params.get("mass", 1.0)))
-    if kind == "power_law":
-        return power_law_cdf(_as_float(params.get("c", 1.0)),
-                             _as_float(params.get("alpha", 0.5)),
-                             _as_float(params.get("R", 1.0)))
-    if kind == "step_density":
-        blocks = params.get("blocks")
-        if not isinstance(blocks, list) or not blocks:
-            raise BadParams("step_density needs a nonempty 'blocks' list")
-        out = []
-        for b in blocks:
-            if not isinstance(b, dict):
-                raise BadParams("each block must be an object")
-            out.append(Block(
-                a=_as_float(b["a"]),
-                d_log=_as_float(b["log_d"]),
-                h_log=_as_float(b["log_h"]),
-                d_log_lo=_as_float(b.get("log_d_lo", 0.0)),
-                h_log_lo=_as_float(b.get("log_h_lo", 0.0)),
-            ))
-        return StepDensity(tuple(out))
-    if kind == "cantor":
+    if isinstance(doc, dict) and doc.get("kind") == "cantor":
         return cantor_cdf(cantor_spec_from_json(doc))
-    if kind == "table":
-        pts = params.get("points")
-        if not isinstance(pts, list) or not pts:
-            raise BadParams("table needs a nonempty 'points' list")
-        xs = [_as_float(p[0]) for p in pts]
-        fs = [_as_float(p[1]) for p in pts]
-        return table_cdf(xs, fs)
-    raise BadParams(f"unknown measure kind {kind!r}")
+    kind, v = _params(doc, LINE_KEYS, "measure")
+    if kind == "uniform":
+        return uniform_cdf(**v)
+    if kind == "power_law":
+        return power_law_cdf(**v)
+    if kind == "step_density":
+        return StepDensity(v["blocks"])
+    xs, fs = zip(*v["points"])
+    return table_cdf(list(xs), list(fs))
 
 
 def cantor_spec_to_json(spec: CantorSpec) -> dict:
-    return {"kind": "cantor",
-            "family": _FAMILY_NAMES[spec.family],
-            "K": spec.K, "beta": spec.beta, "depth": spec.depth}
+    return dict(zip(CANTOR_KEYS, ("cantor", _FAMILY_NAMES[spec.family],
+                                  spec.K, spec.beta, spec.depth), strict=True))
+
+
+def _cantor_spec(v: dict) -> CantorSpec:
+    """The construction with v's family, K or beta, and depth."""
+    if v["family"] == FAMILY_STANDARD:
+        return standard_cantor_spec(v["K"], v["depth"])
+    return general_ratio_spec(v["beta"], v["depth"])
 
 
 def cantor_spec_from_json(doc: dict) -> CantorSpec:
-    if doc.get("kind") != "cantor":
-        raise BadParams("not a cantor document")
-    name = doc.get("family", "standardK")
-    if name not in _FAMILY_FROM_NAME:
-        raise BadParams(f"unknown cantor family {name!r}")
-    depth = int(doc.get("depth", 30))
-    if _FAMILY_FROM_NAME[name] == FAMILY_STANDARD:
-        return standard_cantor_spec(_as_float(doc.get("K", 3.0)), depth)
-    return general_ratio_spec(_as_float(doc.get("beta", 2.0)), depth)
+    return _cantor_spec(_read(doc, CANTOR_KEYS, "cantor"))
 
 
 # ----------------------------------------------------------------------
@@ -242,48 +296,32 @@ def cantor_spec_from_json(doc: dict) -> CantorSpec:
 
 def planar_from_json(doc: dict) -> PlanarMeasure:
     """Rebuild a planar point cloud from its document."""
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise BadParams("planar document needs a 'kind' field")
-    kind = doc["kind"]
-    params = doc.get("params", {})
+    kind, v = _params(doc, PLANAR_KEYS, "planar")
     if kind == "circle":
-        return circle_measure(int(params.get("n", 256)))
+        return circle_measure(v["n"])
     if kind == "dirac":
-        pt = params.get("point", [0.0, 0.0])
-        return dirac_at((_as_float(pt[0]), _as_float(pt[1])),
-                        _as_float(params.get("mass", 1.0)))
+        return dirac_at(v["point"], v["mass"])
     if kind == "line":
-        F = measure_from_json(params.get("cdf", {}))
-        if isinstance(F, StepDensity):
+        if isinstance(v["cdf"], StepDensity):
             raise BadParams("line clouds need a CDF document, not a density")
-        return line_measure(F, int(params.get("n", 256)))
-    if kind == "planar_points":
-        pts = params.get("points")
-        if not isinstance(pts, list) or not pts:
-            raise BadParams("planar_points needs a nonempty 'points' list")
-        xy = [(_as_float(p[0]), _as_float(p[1])) for p in pts]
-        ws = [_as_float(p[2]) for p in pts]
-        return planar_measure(xy, ws)
-    raise BadParams(f"unknown planar kind {kind!r}")
+        return line_measure(v["cdf"], v["n"])
+    rows = v["points"]
+    return planar_measure([r[:2] for r in rows], [r[2] for r in rows])
 
 
 def planar_to_json(P: PlanarMeasure) -> dict:
     """A planar cloud as a document (provenance kinds with exact params
     round-trip as themselves; anything else becomes a raw point list)."""
-    kind = P.provenance.get("kind")
+    kind, prov = P.provenance.get("kind"), P.provenance
     if kind == PROV_CIRCLE:
-        return {"kind": "circle", "params": {"n": P.provenance["n"]}}
+        return _doc("circle", PLANAR_KEYS, (prov["n"],))
     if kind == PROV_DIRAC:
-        x, y = P.provenance["point"]
-        return {"kind": "dirac",
-                "params": {"point": [x, y], "mass": P.provenance["mass"]}}
+        return _doc("dirac", PLANAR_KEYS, (list(prov["point"]), prov["mass"]))
     if kind == PROV_LINE:
-        return {"kind": "line",
-                "params": {"cdf": measure_to_json(P.provenance["cdf"]),
-                           "n": P.provenance["n"]}}
+        return _doc("line", PLANAR_KEYS, (measure_to_json(prov["cdf"]), prov["n"]))
     pts = [[float(x), float(y), float(w)]
            for (x, y), w in zip(P.points, P.weights)]
-    return {"kind": "planar_points", "params": {"points": pts}}
+    return _doc("planar_points", PLANAR_KEYS, (pts,))
 
 
 # ----------------------------------------------------------------------

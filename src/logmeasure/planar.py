@@ -57,7 +57,6 @@ __all__ = [
     "PROV_CIRCLE",
     "PROV_DIRAC",
     "PROV_LINE",
-    "PROV_POWER",
     "PROV_BLOB",
     "PROV_CUSTOM",
     "FAMILY_TOL",
@@ -81,7 +80,6 @@ __all__ = [
 PROV_CIRCLE = "CircleUniform"
 PROV_DIRAC = "DiracAt"
 PROV_LINE = "LineCDF"
-PROV_POWER = "PowerLawRadial"
 PROV_BLOB = "BlobMollified"
 PROV_CUSTOM = "Custom"
 
@@ -337,7 +335,6 @@ def blob_approximation(profile: RadialProfile, n: int, blob_radius: float) -> Pl
         "kind": PROV_BLOB,
         "n": n,
         "radius": blob_radius,
-        "parent": PROV_POWER if G.kind == "PowerLaw" else G.kind,
         "profile": profile,
     }
     return PlanarMeasure(np.column_stack((sx, sy)), ws, prov,
@@ -475,9 +472,8 @@ def _radial_distances(P: PlanarMeasure, x0) -> np.ndarray:
     return out
 
 
-def _merged_radii(P: PlanarMeasure, x0) -> tuple:
-    """(radii, merged weights, cumulative weights) about x0, exact-tie merged."""
-    r = _radial_distances(P, x0)
+def _merged_radii(P: PlanarMeasure, r: np.ndarray) -> tuple:
+    """(radii, merged weights, cumulative weights) at distances r, exact-tie merged."""
     rs, inv = np.unique(r, return_inverse=True)
     wm = np.bincount(inv, weights=P.weights)
     cum = np.cumsum(wm)
@@ -490,7 +486,7 @@ def radial_cdf(P: PlanarMeasure, x0) -> RadialProfile:
     """Radial profile G(r) = mass of the closed ball of radius r about x0."""
     if P.n_atoms == 0:
         raise EmptyMeasure("radial profile needs at least one atom")
-    rs, _, cum = _merged_radii(P, x0)
+    rs, _, cum = _merged_radii(P, _radial_distances(P, x0))
     return RadialProfile((float(x0[0]), float(x0[1])), table_cdf(rs, cum))
 
 
@@ -516,7 +512,7 @@ def radial_pushforward_check(P: PlanarMeasure, x0, h: str) -> dict:
     fun = _PUSHFORWARD_FUNS[tag]
     r = _radial_distances(P, x0)
     lhs = _fsum(*(P.weights * fun(r)).tolist())
-    rs, wm, _ = _merged_radii(P, x0)
+    rs, wm, _ = _merged_radii(P, r)
     rhs = _fsum(*(wm * fun(rs)).tolist())
     gap = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
     return {"h": tag, "lhs": lhs, "rhs": rhs, "gap": gap}

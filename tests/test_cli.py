@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from logmeasure import cli
 from logmeasure import io as lio
 from logmeasure.fractal import cantor_intervals, standard_cantor_spec
 from logmeasure.planar import GridSpec, biot_savart
@@ -309,3 +310,182 @@ class TestReproCommand:
         assert r.returncode == 0
         doc = json.loads((tmp_path / "repro_velocity_consistency.json").read_text())
         assert doc["passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# Key tables: every document and --config file is read against one
+
+
+def _write_doc(tmp_path, doc, name="doc.json") -> pathlib.Path:
+    path = tmp_path / name
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return path
+
+
+def _rejected(capsys, tmp_path, argv) -> str:
+    """Run the CLI in-process; it must exit 1 with one BadParams line and
+    write nothing (any other exception fails the test with its traceback)."""
+    out = tmp_path / "out"
+    code = cli.main([str(a) for a in argv] + ["--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: BadParams: ") and err.count("\n") == 1, err
+    assert not out.exists()
+    return err.rstrip("\n")
+
+
+_UNIFORM = {"kind": "uniform", "params": {"lo": 0, "hi": 1, "mass": 1}}
+_BLOCK = {"a": 0, "log_d": -1, "log_h": 1}
+_CANTOR_KEYS = "kind, family, K, beta, depth"
+_QUADRATURE_KEYS = "depth_schedule, divergence_budget, agreement_tol"
+_DENSITY = ("energy", "--engine", "density", "--measure")
+_PLANAR = ("energy", "--engine", "planar", "--measure")
+
+# (id, argv before the measure file, document, misspelt key, accepted keys)
+_MEASURE_KEY_CASES = [
+    ("uniform", ("energy", "--measure"),
+     {"kind": "uniform", "params": {"low": 0.2, "hi": 1}}, "low", "lo, hi, mass"),
+    ("power_law", ("classify", "--measure"),
+     {"kind": "power_law", "params": {"c": 1, "Alpha": 0.5}}, "Alpha", "c, alpha, R"),
+    ("step_density", _DENSITY,
+     {"kind": "step_density", "params": {"blocks": [_BLOCK], "block": []}}, "block", "blocks"),
+    ("step_density-block", _DENSITY,
+     {"kind": "step_density", "params": {"blocks": [dict(_BLOCK, log_w=0)]}}, "log_w",
+     "a, log_d, log_h, log_d_lo, log_h_lo"),
+    ("cantor", ("classify", "--measure"),
+     {"kind": "cantor", "family": "general", "Beta": 3, "depth": 20}, "Beta", _CANTOR_KEYS),
+    ("table", ("classify", "--measure"),
+     {"kind": "table", "params": {"points": [[0, 1]], "pts": []}}, "pts", "points"),
+    ("envelope", ("classify", "--measure"),
+     {"kind": "uniform", "parms": {"lo": 0.5}}, "parms", "kind, params"),
+    ("circle", _PLANAR, {"kind": "circle", "params": {"N": 1024}}, "N", "n"),
+    ("dirac", ("radial", "--measure"),
+     {"kind": "dirac", "params": {"pt": [0.5, 0]}}, "pt", "point, mass"),
+    ("line", _PLANAR, {"kind": "line", "params": {"cdf": _UNIFORM, "N": 8}}, "N", "cdf, n"),
+    ("planar_points", ("velocity", "--measure"),
+     {"kind": "planar_points", "params": {"points": [[0, 0, 1]], "weights": [1]}},
+     "weights", "points"),
+]
+
+# (id, argv before --config, --config document, misspelt key, accepted keys)
+_CONFIG_KEY_CASES = [
+    ("energy", ("energy", "--measure", CORPUS / "uniform.json"),
+     {"agreement_tolerance": 0.5}, "agreement_tolerance", _QUADRATURE_KEYS),
+    ("energy-density", _DENSITY + (CORPUS / "step_divergent.json",),
+     {"agreement_tol": 0.5}, "agreement_tol", "divergence_budget"),
+    ("energy-planar", _PLANAR + (CORPUS / "circle64.json",),
+     {"agreement_tol": 0.5, "bogus": 1}, "agreement_tol", "none"),
+    ("classify", ("classify", "--measure", CORPUS / "uniform.json"),
+     {"budget": 5}, "budget", _QUADRATURE_KEYS),
+    ("cantor", ("cantor",), {"kind": "cantor", "k": 3}, "k", _CANTOR_KEYS),
+    ("radial", ("radial", "--measure", CORPUS / "circle64.json"),
+     {"centre": [0.5, 0.0]}, "centre", "center, pushforward"),
+    ("velocity", ("velocity", "--measure", CORPUS / "dirac.json"),
+     {"grid": {"NX": 40}, "r_outer": 0.5}, "r_outer", "grid, center, r_out, r_in"),
+    ("velocity-grid", ("velocity", "--measure", CORPUS / "dirac.json"),
+     {"grid": {"NX": 40}}, "NX", "lo_x, lo_y, hi_x, hi_y, nx, ny"),
+    ("dimension", ("dimension",),
+     {"kind": "cantor", "fits": {}}, "fits", _CANTOR_KEYS + ", fit"),
+    ("dimension-fit", ("dimension",),
+     {"kind": "cantor", "fit": {"nmax": 8}}, "nmax", "n_min, n_max"),
+]
+
+
+class TestKeyTables:
+    @pytest.mark.parametrize("argv,doc,key,accepted",
+                             [c[1:] for c in _MEASURE_KEY_CASES],
+                             ids=[c[0] for c in _MEASURE_KEY_CASES])
+    def test_unknown_measure_key(self, capsys, tmp_path, argv, doc, key, accepted):
+        err = _rejected(capsys, tmp_path, argv + (_write_doc(tmp_path, doc),))
+        assert "unknown" in err and repr(key) in err
+        assert err.endswith(f"accepted keys: {accepted}")
+
+    @pytest.mark.parametrize("argv,doc,key,accepted",
+                             [c[1:] for c in _CONFIG_KEY_CASES],
+                             ids=[c[0] for c in _CONFIG_KEY_CASES])
+    def test_unknown_config_key(self, capsys, tmp_path, argv, doc, key, accepted):
+        err = _rejected(capsys, tmp_path, argv + ("--config", _write_doc(tmp_path, doc)))
+        assert "unknown" in err and repr(key) in err
+        assert err.endswith(f"accepted keys: {accepted}")
+
+    @pytest.mark.parametrize("argv,doc,key", [
+        (_PLANAR, {"kind": "circle", "params": {"n": "abc"}}, "n"),
+        (_PLANAR, '{"kind": "circle", "params": {"n": Infinity}}', "n"),
+        (_DENSITY, {"kind": "step_density", "params": {"blocks": [{"a": 0, "log_d": -1}]}},
+         "log_h"),
+        (_DENSITY, {"kind": "step_density", "params": {"blocks": []}}, "blocks"),
+        (("classify", "--measure"), {"kind": "uniform", "params": {"hi": "one"}}, "hi"),
+        (("classify", "--measure"), {"kind": "table", "params": {"points": [[0, 1, 2]]}},
+         "points"),
+        (("classify", "--measure"), {"kind": "cantor", "family": "gen"}, "family"),
+        (("classify", "--measure"), {"kind": "uniform", "params": [0, 1]}, "uniform"),
+        (("radial", "--measure"), {"kind": "dirac", "params": {"point": [0, 0, 1]}}, "point"),
+        (_PLANAR, {"kind": "planar_points", "params": {"points": []}}, "points"),
+    ], ids=["circle-n-string", "circle-n-infinite", "block-without-log_h", "no-blocks",
+            "uniform-hi-string", "table-row-of-three", "cantor-family", "params-not-object",
+            "dirac-point-of-three", "no-points"])
+    def test_malformed_measure_value(self, capsys, tmp_path, argv, doc, key):
+        err = _rejected(capsys, tmp_path, argv + (_write_doc(tmp_path, doc),))
+        assert repr(key) in err or f"{key} must be" in err
+        assert "accepted keys: " in err
+
+    @pytest.mark.parametrize("argv,doc,key", [
+        (("velocity", "--measure", CORPUS / "dirac.json"), {"center": 1}, "center"),
+        (("radial", "--measure", CORPUS / "dirac.json"), {"center": 1}, "center"),
+        (("radial", "--measure", CORPUS / "dirac.json"), {"pushforward": "r^2"},
+         "pushforward"),
+        (("velocity", "--measure", CORPUS / "dirac.json"), {"grid": {"nx": "many"}}, "nx"),
+        (("energy", "--measure", CORPUS / "uniform.json"), {"depth_schedule": 5},
+         "depth_schedule"),
+        (("cantor",), {"kind": "uniform"}, "kind"),
+        (("dimension",), {"kind": "cantor", "fit": {"n_min": "x"}}, "n_min"),
+    ], ids=["velocity-center", "radial-center", "pushforward-string", "grid-nx-string",
+            "schedule-number", "cantor-kind", "fit-n_min-string"])
+    def test_malformed_config_value(self, capsys, tmp_path, argv, doc, key):
+        err = _rejected(capsys, tmp_path, argv + ("--config", _write_doc(tmp_path, doc)))
+        assert repr(key) in err and "accepted keys: " in err
+
+    def test_cantor_and_dimension_need_config(self, capsys, tmp_path):
+        for command in ("cantor", "dimension"):
+            assert "'kind'" in _rejected(capsys, tmp_path, (command,))
+
+
+class TestEngineSettings:
+    """The planar engine reads no quadrature setting and the density engine
+    only divergence_budget; any other setting exits 1."""
+
+    @staticmethod
+    def _argv(tmp_path, engine_argv, flags, config):
+        if config is not None:
+            flags += ("--config", _write_doc(tmp_path, config, "cfg.json"))
+        return engine_argv + flags
+
+    @pytest.mark.parametrize("flags,config", [
+        (("--depth", 5), None), (("--tol", 0.9), None), ((), {"agreement_tol": 0.5}),
+        (("--depth", 5, "--tol", 0.9), {"agreement_tol": 0.5, "bogus": 1}),
+    ], ids=["depth", "tol", "config-key", "all"])
+    def test_planar_takes_no_setting(self, capsys, tmp_path, flags, config):
+        engine_argv = _PLANAR + (CORPUS / "circle64.json",)
+        _rejected(capsys, tmp_path, self._argv(tmp_path, engine_argv, flags, config))
+
+    @pytest.mark.parametrize("flags,config", [
+        (("--depth", 6), None), (("--tol", 0.1), None),
+        ((), {"agreement_tol": 0.5}), ((), {"depth_schedule": [16, 32]}),
+    ], ids=["depth", "tol", "tol-key", "schedule-key"])
+    def test_density_takes_only_the_budget(self, capsys, tmp_path, flags, config):
+        engine_argv = _DENSITY + (CORPUS / "step_divergent.json",)
+        _rejected(capsys, tmp_path, self._argv(tmp_path, engine_argv, flags, config))
+
+    def test_density_reads_the_budget(self, tmp_path):
+        # one block of height e on [0, 1/e]: energy 2.5, so a budget of 1
+        # makes the exact block sum certify divergence
+        m = _write_doc(tmp_path, {"kind": "step_density", "params": {"blocks": [_BLOCK]}})
+        verdicts = []
+        for budget in (None, 1.0):
+            out = tmp_path / f"out{budget}"
+            argv = [*_DENSITY, m, "--out-dir", out]
+            if budget is not None:
+                argv += ["--config", _write_doc(tmp_path, {"divergence_budget": budget}, "b.json")]
+            assert cli.main([str(a) for a in argv]) == 0
+            verdicts.append(json.loads((out / "energy.json").read_text())["estimate"]["verdict"])
+        assert verdicts == ["FiniteConverged", "Divergent"]

@@ -162,6 +162,31 @@ class TestClassifierSampling:
         # 13 fitting scales 2^-4 .. 2^-16, then 4 out-of-sample ones
         assert sum(np.size(ys) for ys in seen) == 17
 
+    def test_log_modulus_gate_samples_once(self, monkeypatch):
+        # Cantor K = 5.209 fails the Holder out-of-sample check and every
+        # log-modulus bound: 13 fitting scales, 4 out-of-sample ones, then
+        # one sample over 2^-4 .. 2^-40 for beta = 1.5, 2 and 3
+        seen = self._spy(monkeypatch, "sampled_modulus")
+        v = classify_membership(cantor_cdf(standard_cantor_spec(5.209)))
+        assert v.rule == "EnergyDirect"
+        assert [np.size(ys) for ys in seen] == [13, 4, 37]
+
+    @pytest.mark.parametrize("F", [
+        uniform_cdf(), cantor_cdf(general_ratio_spec(2.0)),
+        cantor_cdf(standard_cantor_spec(3.0)), power_law_cdf(1.0, 0.5, 1.0)],
+        ids=["uniform", "beta2", "K3", "power-half"])
+    def test_one_sample_gives_the_per_beta_witnesses(self, F):
+        reports = criteria_mod.log_modulus_checks(F, criteria_mod.LOG_MODULUS_BETAS)
+        for beta, rep in zip(criteria_mod.LOG_MODULUS_BETAS, reports):
+            # the test sampled on its own scales 2^-j0 .. 2^-40, as before
+            eps = math.exp(-(beta + 1.0))
+            ys = 2.0 ** -np.arange(int(math.ceil(-math.log2(eps))), 41, dtype=float)
+            worst = float(np.max(criteria_mod.sampled_modulus(F, ys)
+                                 * np.abs(np.log(ys)) ** beta))
+            assert rep == {"holds": worst <= 1.0 + 1e-9, "eps_used": eps,
+                           "worst_ratio": worst}
+            assert check_log_modulus(F, beta) == rep
+
     def test_grid_only_for_continuous_cdfs(self, monkeypatch):
         seen = self._spy(monkeypatch, "default_modulus_grid")
         v = classify_membership(table_cdf([0.0, 0.5, 1.0], [0.2, 0.7, 1.0]))

@@ -127,6 +127,32 @@ class TestMeasureRoundTrips:
         assert isinstance(f, StepDensity)
 
 
+class TestWritersUseKeyTables:
+    """Each writer emits its kind's keys in the order of the table the
+    reader reads them with."""
+
+    @pytest.mark.parametrize("doc", [
+        lio.measure_to_json(uniform_cdf(0.0, 1.0, 1.0)),
+        lio.measure_to_json(power_law_cdf(1.0, 0.5, 1.0)),
+        lio.measure_to_json(l1_divergent_blocks(2)),
+        lio.measure_to_json(table_cdf([0.0, 1.0], [0.5, 1.0])),
+        lio.planar_to_json(circle_measure(8)),
+        lio.planar_to_json(dirac_at((0.25, -0.5), 2.0)),
+        lio.planar_to_json(line_measure(uniform_cdf(0.0, 1.0, 1.0), 8)),
+        lio.planar_to_json(planar_measure([[0.0, 0.0]], [1.0])),
+    ], ids=lambda doc: doc["kind"])
+    def test_params_keys(self, doc):
+        table = {**lio.LINE_KEYS, **lio.PLANAR_KEYS}[doc["kind"]]
+        assert list(doc) == ["kind", "params"]
+        assert list(doc["params"]) == list(table)
+        if doc["kind"] == "step_density":
+            assert all(list(b) == list(lio.BLOCK_KEYS) for b in doc["params"]["blocks"])
+
+    def test_cantor_keys(self):
+        for spec in (standard_cantor_spec(3.0), general_ratio_spec(2.0)):
+            assert list(lio.cantor_spec_to_json(spec)) == list(lio.CANTOR_KEYS)
+
+
 class TestCantorSpecDocs:
     def test_standard_round_trip(self):
         spec = standard_cantor_spec(3.0, depth=12)
@@ -246,6 +272,16 @@ class TestCSVMatchesReference:
 
 class TestCannedCorpus:
     """The checked-in corpus files are exactly what the library emits."""
+
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.name)
+    def test_corpus_file_round_trips(self, path):
+        text = path.read_text()
+        doc = json.loads(text)
+        if doc["kind"] in ("circle", "dirac", "line", "planar_points"):
+            back = lio.planar_to_json(lio.planar_from_json(doc))
+        else:
+            back = lio.measure_to_json(lio.measure_from_json(doc))
+        assert lio.dumps(back) == text
 
     @pytest.mark.parametrize("name,builder", [
         ("uniform.json", lambda: lio.measure_to_json(uniform_cdf(0.0, 1.0, 1.0))),
