@@ -7,9 +7,11 @@ Three engines share one bracketing discipline:
   at lag >= 2 is bracketed to second order: Jensen at the largest centroid
   gap below, the chord over [gap, span] at the smallest centroid gap above
   (Edmundson-Madansky); centroids are bracketed by Riemann sums of F.  Pairs
-  near the diagonal are bracketed on a 16-fold finer nested partition, where
-  self and touching pairs get layer-cake uppers from the sampled modulus of
-  continuity.  Those uppers are as rigorous as the sampled modulus
+  within 8 parent cells of the diagonal are bracketed on a 16-fold finer
+  nested partition, where self and touching pairs get layer-cake uppers from
+  the sampled modulus of continuity; beyond that window the coarse brackets'
+  second-order error stays below the fine partition's diagonal error (see
+  _NEAR_WINDOW).  Those uppers are as rigorous as the sampled modulus
   (``upper_kind`` "modulus"); CDFs without a continuity certificate, or
   whose modulus shows no decay, keep an m_i m_j ln(1/width) upper there,
   labelled "heuristic".
@@ -26,7 +28,9 @@ lower bound exceeding the configured budget, an identified atom-scale mass
 concentration, or a growth certificate for the represented infinite block
 series (those two set the lower bracket to +inf).  ``Inconclusive`` is an
 explicit third verdict.  Every estimate records why its engine stopped
-(``stop_reason``) and how its upper endpoint was obtained (``upper_kind``).
+(``stop_reason``) and how its upper endpoint was obtained (``upper_kind``);
+the double engine also records how many cell pairs each round bracketed
+(``work``).
 """
 from __future__ import annotations
 
@@ -88,8 +92,15 @@ UPPER_EXACT = "exact"
 # inf on cells whose width underflows (the atom rule preempts heavy cells).
 _TINY = 5e-324
 # Parent-cell distance up to which pairs are bracketed on the refined
-# partition instead of the coarse one (the near bucket's window).
-_NEAR_WINDOW = 32
+# partition instead of the coarse one (the near bucket's window).  At parent
+# lag L a coarse pair's Jensen/chord bracket is of width about
+# m_i m_j (w / (L w))^2, so the far field beyond lag W leaves O(1/(n W)) in
+# total, while the fine partition's self and touching terms already cost
+# about ln(16 n) / (16 n).  At W = 8 the coarse part stays below the fine
+# one (by ln(16 n) / 2, about 5x at n = 1024); a wider window would only add
+# fine pairs, whose number grows linearly in W.  Both brackets are rigorous
+# under any window.
+_NEAR_WINDOW = 8
 # Refinement factor of the near bucket's nested partition.
 _NEAR_FACTOR = 16
 # Riemann points per cell for the centroid brackets, on the coarse and on the
@@ -119,7 +130,10 @@ class EnergyEstimate:
     trace holds (partition size, lower sum, upper sum) triples; lower sums
     are nondecreasing along the trace because partitions are nested.
     stop_reason is one of the STOP_* names and upper_kind one of the UPPER_*
-    names; both are deterministic, so reports stay byte-identical.
+    names.  work holds one (partition size, near pairs, far pairs) triple
+    per double-engine round: the cell pairs its lag sums bracketed on the
+    near bucket's fine partition and on the coarse one (other engines leave
+    it empty).  All three are deterministic, so reports stay byte-identical.
     """
 
     value: float
@@ -129,6 +143,7 @@ class EnergyEstimate:
     trace: tuple
     stop_reason: str
     upper_kind: str
+    work: tuple = ()
 
     def as_dict(self) -> dict:
         return {
@@ -139,6 +154,7 @@ class EnergyEstimate:
             "stop_reason": self.stop_reason,
             "upper_kind": self.upper_kind,
             "trace": [list(t) for t in self.trace],
+            "work": [list(t) for t in self.work],
         }
 
 
@@ -233,7 +249,8 @@ def _bracket_sums(bounds, masses, cents, lag_lo: int, lag_hi: int, keep=None):
 
     keep(L), when given, returns the indices i of the pairs (i, i+L) to
     count at lag L, or None to count all of them.  Returns ordered per-lag
-    partial sums (factor 2 for the two orderings of each pair included).
+    partial sums (factor 2 for the two orderings of each pair included) and
+    the number of pairs summed.
 
     The work buffers are allocated once per call, every pass writes into
     them with ``out=`` (the span kernels in a ring of three rows, so that
@@ -246,10 +263,11 @@ def _bracket_sums(bounds, masses, cents, lag_lo: int, lag_hi: int, keep=None):
     """
     c_lo, c_hi = cents
     lows, ups = [], []
+    pairs = 0
     n = masses.size
     lags = range(lag_lo, min(lag_hi, n))
     if not lags:
-        return lows, ups
+        return lows, ups, pairs
     width = n - lags[0]
     # one row per per-pair array, three ring rows for the span kernels, and
     # the gathered copies of the pair arrays when pairs are selected
@@ -298,7 +316,8 @@ def _bracket_sums(bounds, masses, cents, lag_lo: int, lag_hi: int, keep=None):
                 up = np.maximum(kg, low, out=up_b[:r])
             lows.append(2.0 * float(np.einsum("i,i->", mm, low)))
             ups.append(2.0 * float(np.einsum("i,i->", mm, up)))
-    return lows, ups
+            pairs += r
+    return lows, ups, pairs
 
 
 class _BallMass:
@@ -401,7 +420,10 @@ def _near_bracket(F, n: int, atom_floor: float, ball):
     The near bucket is evaluated on the nested partition _NEAR_FACTOR times
     finer, restricted to fine pairs whose parent cells are at most
     _NEAR_WINDOW apart (the coarse off-diagonal sums start just beyond that
-    window, so every pair is counted exactly once).  Fine pairs at lag >= 2
+    window, so every pair is counted exactly once).  The window needs to
+    reach only as far as the coarse brackets' second-order error, which
+    falls like the inverse square of the parent lag, stays below the fine
+    diagonal's: 8 parent cells do (see _NEAR_WINDOW).  Fine pairs at lag >= 2
     get the second-order brackets of _bracket_sums.  Self and touching pairs
     get the lower k(width) and Jensen respectively, and the layer-cake uppers
     of _diag_uppers when ``ball`` holds a modulus bound; without one the
@@ -414,7 +436,8 @@ def _near_bracket(F, n: int, atom_floor: float, ball):
     never take that route - a width-floor cell then only reflects resolution
     exhaustion.
 
-    Returns (near_lower, near_upper, atom_hit).
+    Returns (near_lower, near_upper, near_pairs, atom_hit), near_pairs the
+    fine pairs at lag >= 1 that the lag sums bracketed.
     """
     W, s = _NEAR_WINDOW, _NEAR_FACTOR
     bounds, fvals = _partition_arrays(F, n * s)
@@ -431,7 +454,7 @@ def _near_bracket(F, n: int, atom_floor: float, ball):
             steps = np.diff(pad)
             runs = np.flatnonzero(steps == -1) - np.flatnonzero(steps == 1)
             if float(np.max(runs)) * F.total_mass / (n * s) >= _ATOM_MASS_FRACTION * F.total_mass:
-                return math.inf, math.inf, True
+                return math.inf, math.inf, 0, True
     m = masses.size
     parent = np.arange(m, dtype=np.int64) // s
 
@@ -443,14 +466,14 @@ def _near_bracket(F, n: int, atom_floor: float, ball):
         return None
 
     cents = _centroid_brackets(F, bounds, fvals, _NEAR_CENTROID_POINTS)
-    lows, ups = _bracket_sums(bounds, masses, cents, 1, (W + 1) * s, keep)
+    lows, ups, pairs = _bracket_sums(bounds, masses, cents, 1, (W + 1) * s, keep)
     diag_lo = float(np.sum(masses * masses * _kern(np.maximum(widths, _TINY))))
     diag_up = diag_lo
     if ball is not None:
         self_up, touch_up = _diag_uppers(bounds, masses, ball)
         diag_up = float(np.sum(self_up))
         ups[0] = float(np.sum(touch_up))
-    return math.fsum([diag_lo] + lows), math.fsum([diag_up] + ups), False
+    return math.fsum([diag_lo] + lows), math.fsum([diag_up] + ups), pairs, False
 
 
 def energy_double_stieltjes(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureConfig()) -> EnergyEstimate:
@@ -461,20 +484,23 @@ def energy_double_stieltjes(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureCo
     ball = _BallMass.of(F)
     kind = UPPER_MODULUS if ball is not None else UPPER_HEURISTIC
     trace = []
+    work = []
     lower = 0.0
     upper = math.inf
 
     def done(value, lo, up, verdict, reason):
-        return EnergyEstimate(value, lo, up, verdict, tuple(trace), reason, kind)
+        return EnergyEstimate(value, lo, up, verdict, tuple(trace), reason, kind, tuple(work))
 
     for n in cfg.depth_schedule:
         off_lo = off_up = 0.0
+        far_pairs = 0
         if n > _NEAR_WINDOW + 1:
             bounds, fvals = _partition_arrays(F, n)
             cents = _centroid_brackets(F, bounds, fvals, _CENTROID_POINTS)
-            lows, ups = _bracket_sums(bounds, np.diff(fvals), cents, _NEAR_WINDOW + 1, n)
+            lows, ups, far_pairs = _bracket_sums(bounds, np.diff(fvals), cents, _NEAR_WINDOW + 1, n)
             off_lo, off_up = math.fsum(lows), math.fsum(ups)
-        near_lo, near_up, atom_hit = _near_bracket(F, n, atom_floor, ball)
+        near_lo, near_up, near_pairs, atom_hit = _near_bracket(F, n, atom_floor, ball)
+        work.append((n, near_pairs, far_pairs))
         if atom_hit:
             trace.append((n, math.inf, math.inf))
             return done(math.inf, math.inf, math.inf, VERDICT_DIVERGENT, STOP_ATOM)

@@ -135,6 +135,15 @@ def _as_float(v) -> float:
     return float(v)
 
 
+def _as_int(v) -> int:
+    """A JSON value as an int: an integer, or a float with no fractional
+    part (a fractional part is an error, never truncated)."""
+    if not (isinstance(v, int) and not isinstance(v, bool)
+            or isinstance(v, float) and v.is_integer()):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
 # ----------------------------------------------------------------------
 # Key tables
 
@@ -191,26 +200,26 @@ LINE_KEYS = {
 }
 CANTOR_KEYS = {"kind": ({"cantor": "cantor"}.__getitem__, _REQUIRED),
                "family": (_FAMILY_FROM_NAME.__getitem__, "standardK"),
-               "K": (_as_float, 3.0), "beta": (_as_float, 2.0), "depth": (int, 30)}
+               "K": (_as_float, 3.0), "beta": (_as_float, 2.0), "depth": (_as_int, 30)}
 PLANAR_KEYS = {
-    "circle": {"n": (int, 256)},
+    "circle": {"n": (_as_int, 256)},
     "dirac": {"point": _POINT, "mass": (_as_float, 1.0)},
-    "line": {"cdf": (lambda v: measure_from_json(v), _REQUIRED), "n": (int, 256)},
+    "line": {"cdf": (lambda v: measure_from_json(v), _REQUIRED), "n": (_as_int, 256)},
     "planar_points": {"points": (lambda v: [_floats(p, 3) for p in _list(v)], _REQUIRED)},
 }
 _ENVELOPE = {"kind": (str, _REQUIRED), "params": (lambda v: v, {})}
 
 # The --config documents of the subcommands (see the cli module).
 QUADRATURE_KEYS = {f.name: (_as_float, f.default) for f in dataclasses.fields(QuadratureConfig)}
-QUADRATURE_KEYS["depth_schedule"] = (lambda v: tuple(int(n) for n in v),
+QUADRATURE_KEYS["depth_schedule"] = (lambda v: tuple(_as_int(n) for n in v),
                                      QuadratureConfig.depth_schedule)
 RADIAL_KEYS = {"center": _POINT, "pushforward": (
     lambda v: tuple(str(tag) for tag in _list(v)), ["r^2", "min(r,1)", "1"])}
 GRID_KEYS = {"lo_x": (_as_float, -2.0), "lo_y": (_as_float, -2.0), "hi_x": (_as_float, 2.0),
-             "hi_y": (_as_float, 2.0), "nx": (int, 160), "ny": (int, 160)}
+             "hi_y": (_as_float, 2.0), "nx": (_as_int, 160), "ny": (_as_int, 160)}
 VELOCITY_KEYS = {"grid": (lambda v: GridSpec(**_read(v, GRID_KEYS, "--config grid")), {}),
                  "center": _POINT, "r_out": (_as_float, 1.0), "r_in": (_as_float, 0.0)}
-FIT_KEYS = {"n_min": (int, 4), "n_max": (int, 16)}
+FIT_KEYS = {"n_min": (_as_int, 4), "n_max": (_as_int, 16)}
 DIMENSION_KEYS = {**CANTOR_KEYS,
                   "fit": (lambda v: _read(v, FIT_KEYS, "--config fit"), {})}
 

@@ -51,6 +51,29 @@ def one_sided_uniform_identity() -> float:
 
 
 # ----------------------------------------------------------------------
+# Power-law energy: F(x) = c x^alpha on [0, R], R <= 1, of mass M = c R^alpha.
+#
+# With x = R U^(1/alpha), U uniform, -ln|x - y| splits into -ln R, plus
+# -ln max(x, y)/R, whose mean is 1/(2 alpha), plus -ln(1 - W^(1/alpha)),
+# where W = min/max of two independent uniforms is itself uniform, so its
+# mean is psi(1 + alpha) + gamma = sum_{k>=1} alpha/(k (k + alpha)):
+#     E = M^2 (1/(2 alpha) + sum_{k>=1} alpha/(k (k + alpha)) - ln R).
+# alpha = 1/2, R = 1 gives 3 - 2 ln 2.
+
+
+def power_law_energy_oracle(alpha: float, R: float = 1.0, c: float = 1.0,
+                            terms: int = 10**6) -> tuple:
+    """[lo, hi] enclosing the energy of c x^alpha on [0, R], R <= 1: the
+    series summed to K = ``terms`` terms, and its tail, which is below
+    alpha sum_{k>K} 1/k^2 < alpha/K."""
+    k = np.arange(1, terms + 1, dtype=float)
+    head = math.fsum(alpha / (k * (k + alpha)))
+    m2 = (c * R**alpha) ** 2
+    lo = m2 * (0.5 / alpha + head - math.log(R))
+    return lo, lo + m2 * alpha / terms
+
+
+# ----------------------------------------------------------------------
 # Single-block density energy: h^2 * closed form on [0,d]^2 with d=1, h=2.
 
 
@@ -146,9 +169,11 @@ def bracket_sums_reference(bounds, masses, cents, lag_lo: int, lag_hi: int, keep
     lag_hi): Jensen at the largest centroid gap below; above, the chord of
     log+ over [gap, span] at the smallest centroid gap (lag >= 2) or the
     wider cell's width raised to the lower (lag 1).  keep(L) selects pairs;
-    the loop stops once every gap is beyond kernel range."""
+    the loop stops once every gap is beyond kernel range.  Also returns the
+    number of pairs summed."""
     c_lo, c_hi = cents
     lows, ups = [], []
+    pairs = 0
     n = masses.size
     cache = {}
     for L in range(lag_lo, min(lag_hi, n)):
@@ -181,7 +206,8 @@ def bracket_sums_reference(bounds, masses, cents, lag_lo: int, lag_hi: int, keep
             up = np.maximum(kg, low)
         lows.append(2.0 * float(np.einsum("i,i->", mm, low)))
         ups.append(2.0 * float(np.einsum("i,i->", mm, up)))
-    return lows, ups
+        pairs += mm.size
+    return lows, ups, pairs
 
 
 def cantor_ginv_oracle(m: float, n: int = 48, K: float = 3.0) -> float:

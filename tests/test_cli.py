@@ -37,12 +37,15 @@ class TestEnergyCommand:
         assert "verdict=FiniteConverged" in r.stdout
         doc = json.loads((tmp_path / "energy.json").read_text())
         assert doc["engine"] == "double"
-        assert abs(doc["estimate"]["value"] - 1.500122566388095) < 1e-12
+        assert abs(doc["estimate"]["value"] - 1.5001773577511441) < 1e-12
         assert doc["estimate"]["stop_reason"] == "agreement"
         assert doc["estimate"]["upper_kind"] == "modulus"
         trace = (tmp_path / "trace.csv").read_text().splitlines()
         assert trace[0] == "n,lower,upper"
         assert len(trace) >= 3
+        # one work entry (n, near pairs, far pairs) per traced round
+        work = doc["estimate"]["work"]
+        assert [w[0] for w in work] == [int(row.split(",")[0]) for row in trace[1:]]
 
     def test_divergent_density_exits_zero(self, tmp_path):
         r = run_cli("energy", "--measure", CORPUS / "step_divergent.json",
@@ -444,6 +447,27 @@ class TestKeyTables:
     def test_malformed_config_value(self, capsys, tmp_path, argv, doc, key):
         err = _rejected(capsys, tmp_path, argv + ("--config", _write_doc(tmp_path, doc)))
         assert repr(key) in err and "accepted keys: " in err
+
+    @pytest.mark.parametrize("argv,doc,key", [
+        (_PLANAR, {"kind": "circle", "params": {"n": 64.9}}, "n"),
+        (_PLANAR, {"kind": "line", "params": {"cdf": _UNIFORM, "n": 8.5}}, "n"),
+        (("classify", "--measure"), {"kind": "cantor", "depth": 12.5}, "depth"),
+    ], ids=["circle-n", "line-n", "cantor-depth"])
+    def test_fractional_integer_in_measure(self, capsys, tmp_path, argv, doc, key):
+        # int() would truncate these silently (circle n 64.9 ran on 64 atoms)
+        err = _rejected(capsys, tmp_path, argv + (_write_doc(tmp_path, doc),))
+        assert f"key {key!r}: expected an integer" in err
+
+    @pytest.mark.parametrize("argv,doc,key", [
+        (("energy", "--measure", CORPUS / "uniform.json"), {"depth_schedule": [16, 32.5]},
+         "depth_schedule"),
+        (("velocity", "--measure", CORPUS / "dirac.json"), {"grid": {"ny": 4.5}}, "ny"),
+        (("dimension",), {"kind": "cantor", "fit": {"n_max": 8.25}}, "n_max"),
+        (("cantor",), {"kind": "cantor", "depth": 6.5}, "depth"),
+    ], ids=["schedule-entry", "grid-ny", "fit-n_max", "cantor-depth"])
+    def test_fractional_integer_in_config(self, capsys, tmp_path, argv, doc, key):
+        err = _rejected(capsys, tmp_path, argv + ("--config", _write_doc(tmp_path, doc)))
+        assert f"key {key!r}: expected an integer" in err
 
     def test_cantor_and_dimension_need_config(self, capsys, tmp_path):
         for command in ("cantor", "dimension"):

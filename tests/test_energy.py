@@ -46,6 +46,7 @@ from oracles import (
     bracket_sums_reference,
     cantor_energy_oracle,
     one_sided_uniform_identity,
+    power_law_energy_oracle,
     staircase_term_oracle,
     step_density_energy_oracle,
     uniform_energy_oracle,
@@ -87,9 +88,9 @@ class TestUniformEnergy:
     def test_double_engine_frozen(self):
         est = energy_double_stieltjes(uniform_cdf(0.0, 1.0, 1.0))
         assert est.verdict == VERDICT_FINITE
-        assert est.value == pytest.approx(1.500122566388095, rel=1e-12)
-        assert est.lower == pytest.approx(1.4996377962391378, rel=1e-12)
-        assert est.upper == pytest.approx(1.5006073365370522, rel=1e-12)
+        assert est.value == pytest.approx(1.5001773577511441, rel=1e-12)
+        assert est.lower == pytest.approx(1.499610500656455, rel=1e-12)
+        assert est.upper == pytest.approx(1.500744214845833, rel=1e-12)
         assert est.lower <= 1.5 <= est.upper
 
     def test_double_engine_vs_oracles(self):
@@ -278,20 +279,23 @@ def _brute_bracket(bounds, masses, cents, lag_lo, lag_hi, s=1, window=None):
     upper terms the chord of the kernel over [gap, span] at the smallest
     centroid gap, and for touching pairs the kernel at the wider cell's
     width or the lower term, whichever is larger.  A window keeps only pairs whose parent cells (groups of s
-    consecutive cells) are at most `window` apart.
+    consecutive cells) are at most `window` apart.  Also returns the number
+    of pairs kept at each lag.
     """
     def k(d):
         return max(-math.log(max(d, 5e-324)), 0.0)
 
     c_lo, c_hi = cents
     n = len(masses)
-    lows, ups = [], []
+    lows, ups, counts = [], [], []
     for L in range(lag_lo, min(lag_hi, n)):
         lo = up = 0.0
+        count = 0
         for i in range(n - L):
             j = i + L
             if window is not None and j // s - i // s > window:
                 continue
+            count += 1
             mm = 2.0 * masses[i] * masses[j]
             span = bounds[j + 1] - bounds[i]
             lo += mm * k(min(c_hi[j] - c_lo[i], span))
@@ -305,7 +309,8 @@ def _brute_bracket(bounds, masses, cents, lag_lo, lag_hi, s=1, window=None):
                 up += mm * (k(gap) + (k(span) - k(gap)) * frac)
         lows.append(lo)
         ups.append(up)
-    return lows, ups
+        counts.append(count)
+    return lows, ups, counts
 
 
 class TestBracketKernel:
@@ -326,10 +331,11 @@ class TestBracketKernel:
 
     @staticmethod
     def _check(got, want):
-        lows, ups = got
-        b_lows, b_ups = want
+        lows, ups, pairs = got
+        b_lows, b_ups, b_counts = want
         # the kernel may stop early; every lag it skipped must be exactly 0
         assert 0 < len(lows) == len(ups) <= len(b_lows)
+        assert pairs == sum(b_counts[: len(lows)])
         assert all(x == 0.0 for x in b_lows[len(lows):] + b_ups[len(ups):])
         assert lows == pytest.approx(b_lows[: len(lows)], rel=1e-12, abs=1e-15)
         assert ups == pytest.approx(b_ups[: len(ups)], rel=1e-12, abs=1e-15)
@@ -361,6 +367,7 @@ class TestBracketKernel:
         # the window drops pairs at the partial lags
         full = _brute_bracket(bounds, masses, cents, 1, lag_hi)
         assert want[1][-1] < full[1][-1]
+        assert got[2] < sum(full[2])
 
 
 class TestBracketSumsBitIdentical:
@@ -376,7 +383,8 @@ class TestBracketSumsBitIdentical:
     def _same(*args):
         got = _bracket_sums(*args)
         want = bracket_sums_reference(*args)
-        assert [list(map(float.hex, s)) for s in got] == [list(map(float.hex, s)) for s in want]
+        assert [list(map(float.hex, s)) for s in got[:2]] == [list(map(float.hex, s)) for s in want[:2]]
+        assert got[2] == want[2]
         return got
 
     @staticmethod
@@ -388,8 +396,10 @@ class TestBracketSumsBitIdentical:
     @pytest.mark.parametrize("n", [64, 2048])
     def test_coarse_far_field(self, name, n):
         bounds, masses, cents = self._cells(self.MEASURES[name](), n, energy_mod._CENTROID_POINTS)
-        lows, _ = self._same(bounds, masses, cents, energy_mod._NEAR_WINDOW + 1, n)
+        lows, _, pairs = self._same(bounds, masses, cents, energy_mod._NEAR_WINDOW + 1, n)
         assert len(lows) == n - energy_mod._NEAR_WINDOW - 1
+        k = n - energy_mod._NEAR_WINDOW - 1
+        assert pairs == k * (k + 1) // 2
 
     @pytest.mark.parametrize("name", sorted(MEASURES))
     def test_near_bucket_call(self, name, monkeypatch):
@@ -409,7 +419,7 @@ class TestBracketSumsBitIdentical:
         # partial lags select pairs, lag W s and the lags inside take all
         partial = [L for L in range(lag_lo, lag_hi) if keep(L) is not None]
         assert partial and W * s not in partial and min(partial) == (W - 1) * s + 1
-        lows, _ = self._same(*args)
+        lows, _, _ = self._same(*args)
         assert len(lows) == lag_hi - lag_lo
 
     @pytest.mark.parametrize("name", sorted(MEASURES))
@@ -421,7 +431,7 @@ class TestBracketSumsBitIdentical:
     def test_early_break(self, lag_lo):
         # support of length 4: gaps leave kernel range from lag 17 on
         bounds, masses, cents = self._cells(uniform_cdf(0.0, 4.0, 1.0), 64, 16)
-        lows, _ = self._same(bounds, masses, cents, lag_lo, 64)
+        lows, _, _ = self._same(bounds, masses, cents, lag_lo, 64)
         assert len(lows) == 17 - lag_lo
 
     def test_zero_width_cells(self):
@@ -436,7 +446,7 @@ class TestBracketSumsBitIdentical:
     def test_empty_lag_range(self):
         bounds, masses, cents = self._cells(uniform_cdf(0.0, 1.0, 1.0), 16, 16)
         for lag_lo, lag_hi in ((5, 5), (9, 3), (16, 40), (30, 40)):
-            assert self._same(bounds, masses, cents, lag_lo, lag_hi) == ([], [])
+            assert self._same(bounds, masses, cents, lag_lo, lag_hi) == ([], [], 0)
 
 
 class TestPairBrackets:
@@ -481,8 +491,8 @@ class TestPairBrackets:
         cents = _centroid_brackets(F, bounds, fvals, 16)
         for L in range(1, self.N):
             for i in range(self.N - L):
-                lows, ups = _bracket_sums(bounds, masses, cents, L, L + 1,
-                                          lambda _, i=i: np.array([i]))
+                lows, ups, _ = _bracket_sums(bounds, masses, cents, L, L + 1,
+                                             lambda _, i=i: np.array([i]))
                 exact = 2.0 * self._exact(bounds, masses, i, i + L)
                 assert lows[0] <= exact * (1 + 1e-12), (L, i)
                 if L >= 2:
@@ -520,6 +530,61 @@ class TestLineEnergiesContained:
         assert est.lower <= exact() <= est.upper
         # the ladder now stops in the hundreds to low thousands
         assert est.trace[-1][0] <= 2048
+
+    @pytest.mark.parametrize("name,n_stop", [("uniform", 512), ("power-half", 2048),
+                                             ("cantor3", 1024)])
+    def test_default_stop_levels(self, name, n_stop):
+        # the near window keeps every one of these stop levels
+        est = energy_double_stieltjes(self.CASES[name][0]())
+        assert est.trace[-1][0] == n_stop
+
+
+class TestPowerLawEnergiesContained:
+    """The double engine's bracket contains the closed-form energy of
+    x^alpha on [0, R], slow-decay exponents and heuristic uppers included."""
+
+    @pytest.mark.parametrize("R", [1.0, 0.5])
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.2, 0.05])
+    def test_bracket_contains_exact(self, alpha, R):
+        lo, hi = power_law_energy_oracle(alpha, R)
+        est = energy_double_stieltjes(power_law_cdf(1.0, alpha, R))
+        assert est.verdict == VERDICT_FINITE
+        assert est.lower <= hi and lo <= est.upper
+
+
+class TestWorkRecord:
+    """The double engine records the cell pairs each round bracketed."""
+
+    W, S = energy_mod._NEAR_WINDOW, energy_mod._NEAR_FACTOR
+
+    def test_pair_counts_at_64(self):
+        est = energy_double_stieltjes(uniform_cdf(), QuadratureConfig(depth_schedule=(64,)))
+        (work,) = est.work
+        # fine pairs i < j whose parent cells are at most W apart, and
+        # coarse pairs more than W apart
+        parent = np.arange(64 * self.S) // self.S
+        dist = parent[None, :] - parent[:, None]
+        upper = np.triu(np.ones(dist.shape, dtype=bool), 1)
+        near = int(np.count_nonzero(upper & (dist <= self.W)))
+        lag = np.arange(64)[None, :] - np.arange(64)[:, None]
+        far = int(np.count_nonzero(lag > self.W))
+        assert work == (64, near, far)
+
+    def test_one_entry_per_round(self):
+        est = energy_double_stieltjes(power_law_cdf(1.0, 0.5, 1.0))
+        assert [w[0] for w in est.work] == [t[0] for t in est.trace]
+        # the 16-fold partition within 8 parent cells at n = 2048
+        assert est.work[-1] == (2048, 4430848, 2039 * 2040 // 2)
+        assert est.as_dict()["work"] == [list(w) for w in est.work]
+
+    def test_atom_round_is_recorded(self):
+        est = energy_double_stieltjes(table_cdf([0.0, 0.5, 1.0], [0.2, 0.7, 1.0]))
+        assert est.stop_reason == "atom"
+        assert len(est.work) == len(est.trace) and est.work[-1][1] == 0
+
+    def test_other_engines_leave_it_empty(self):
+        assert energy_one_sided(uniform_cdf()).work == ()
+        assert energy_density(StepDensity((Block(0.0, 0.0, LN2),))).work == ()
 
 
 class TestStopRecord:

@@ -182,6 +182,14 @@ class TestPlanarDocs:
         np.testing.assert_array_equal(P.points, Q.points)
         np.testing.assert_array_equal(P.weights, Q.weights)
 
+    def test_integral_float_reads_as_an_integer(self):
+        assert lio.planar_from_json({"kind": "circle", "params": {"n": 8.0}}).n_atoms == 8
+
+    @pytest.mark.parametrize("n", [8.5, True, "8", "inf"])
+    def test_non_integer_count_rejected(self, n):
+        with pytest.raises(BadParams, match="key 'n': expected an integer"):
+            lio.planar_from_json({"kind": "circle", "params": {"n": n}})
+
 
 class TestReportDocs:
     def test_energy_estimate_doc(self):

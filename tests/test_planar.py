@@ -244,7 +244,7 @@ class TestEnergyFamilies:
     def test_line_family_matches_uniform_energy(self):
         est = energy_planar(line_measure(uniform_cdf(0.0, 1.0, 1.0), 64))
         assert est.verdict == VERDICT_FINITE
-        assert est.value == pytest.approx(1.5017057771297218, rel=1e-12)
+        assert est.value == pytest.approx(1.5021735264328016, rel=1e-12)
         assert abs(est.value - 1.5) <= 3e-3
 
     @pytest.mark.parametrize("F, exact", [
