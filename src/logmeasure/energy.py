@@ -459,9 +459,9 @@ def _near_bracket(F, n: int, atom_floor: float, ball):
     parent = np.arange(m, dtype=np.int64) // s
 
     def keep(L):
-        # partial lags: only pairs whose parent distance is within the
-        # window (other lags are entirely inside it)
-        if L > (W - 1) * s and L != W * s:
+        # lags up to W s lie entirely inside the window; above it only the
+        # pairs whose parent distance is within the window count
+        if L > W * s:
             return np.nonzero(parent[L:] - parent[: m - L] <= W)[0]
         return None
 
@@ -492,6 +492,12 @@ def energy_double_stieltjes(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureCo
         return EnergyEstimate(value, lo, up, verdict, tuple(trace), reason, kind, tuple(work))
 
     for n in cfg.depth_schedule:
+        # the near bucket first: an atom ends the solve before any far field
+        near_lo, near_up, near_pairs, atom_hit = _near_bracket(F, n, atom_floor, ball)
+        if atom_hit:
+            work.append((n, 0, 0))
+            trace.append((n, math.inf, math.inf))
+            return done(math.inf, math.inf, math.inf, VERDICT_DIVERGENT, STOP_ATOM)
         off_lo = off_up = 0.0
         far_pairs = 0
         if n > _NEAR_WINDOW + 1:
@@ -499,11 +505,7 @@ def energy_double_stieltjes(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureCo
             cents = _centroid_brackets(F, bounds, fvals, _CENTROID_POINTS)
             lows, ups, far_pairs = _bracket_sums(bounds, np.diff(fvals), cents, _NEAR_WINDOW + 1, n)
             off_lo, off_up = math.fsum(lows), math.fsum(ups)
-        near_lo, near_up, near_pairs, atom_hit = _near_bracket(F, n, atom_floor, ball)
         work.append((n, near_pairs, far_pairs))
-        if atom_hit:
-            trace.append((n, math.inf, math.inf))
-            return done(math.inf, math.inf, math.inf, VERDICT_DIVERGENT, STOP_ATOM)
         # every round's sum is a valid lower bound of the same integral, so
         # the running maximum is one too and keeps the trace monotone even
         # when pairs migrate between the fine and coarse treatments

@@ -93,9 +93,11 @@ FAMILY_SCHEDULE = (64, 128, 256, 512, 1024, 2048, 4096)
 _LINE_CONFIG = QuadratureConfig(agreement_tol=FAMILY_TOL / 2)
 # Direct O(n^2) sums only; above this the family schedule is truncated.
 _MAX_ATOMS = 10_000
-# Rows per block in the pair sums (bounds peak memory at ~chunk*n floats).
+# Rows per block in the pair sums: each block's row sums are reduced by one
+# einsum, which fixes the association order of every pair sum.
 _PAIR_CHUNK = 512
-# Grid cell x atom entries per Biot-Savart row block (about 512 KB each).
+# Entries per work block (about 512 KB each): grid cell x atom in the
+# Biot-Savart row blocks, row x column in the pair sub-blocks.
 _BLOCK_ELEMENTS = 1 << 16
 # Biot-Savart multipole order: the smallest P whose far-cell truncation
 # bound 2 * 3^-(P+1) (see biot_savart) is at most a quarter of an ulp of 1.
@@ -342,19 +344,33 @@ def blob_approximation(profile: RadialProfile, n: int, blob_radius: float) -> Pl
 
 
 def _pair_blocks(points: np.ndarray):
-    """Row blocks [i0, i0 + _PAIR_CHUNK) of the i < j pair walk, columns j >= i0.
+    """Row sub-blocks of the i < j pair walk, in two buffers reused throughout.
 
-    Yields (i0, dx, dy) with the differences x_i - x_j; the sums drop each
-    block's j <= i entries.  The layout depends on n only.
+    Rows come in blocks [i0, i0 + _PAIR_CHUNK) whose columns are j >= i0.
+    Each block is cut into sub-blocks of rows [s0, s1) with at most
+    max(_BLOCK_ELEMENTS, n) entries, so memory stays bounded whatever n is.
+    Yields (i0, s0, dx, dy) with the differences x_i - x_j for i in [s0, s1)
+    and j >= i0; the caller may overwrite them, and they are valid until the
+    next step.  The sums drop the j <= i entries.  The layout depends on n
+    only.
     """
+    n = len(points)
     x, y = points.T
-    for i0 in range(0, len(x), _PAIR_CHUNK):
-        i1 = i0 + _PAIR_CHUNK
-        yield i0, x[i0:i1, None] - x[i0:], y[i0:i1, None] - y[i0:]
+    buf_x, buf_y = np.empty(max(_BLOCK_ELEMENTS, n)), np.empty(max(_BLOCK_ELEMENTS, n))
+    for i0 in range(0, n, _PAIR_CHUNK):
+        i1 = min(i0 + _PAIR_CHUNK, n)
+        cols = n - i0
+        step = max(1, _BLOCK_ELEMENTS // cols)
+        for s0 in range(i0, i1, step):
+            s1 = min(s0 + step, i1)
+            shape = (s1 - s0, cols)
+            dx = np.subtract(x[s0:s1, None], x[i0:], out=buf_x[:shape[0] * cols].reshape(shape))
+            dy = np.subtract(y[s0:s1, None], y[i0:], out=buf_y[:shape[0] * cols].reshape(shape))
+            yield i0, s0, dx, dy
 
 
-def _block_pair_sum(d: np.ndarray, weights: np.ndarray, i0: int) -> float:
-    """Sum of w_i w_j k(d_ij) over one block's i < j entries; overwrites d.
+def _row_sums(d: np.ndarray, weights: np.ndarray, i0: int, s0: int, out: np.ndarray) -> None:
+    """out_i = sum of w_j k(d_ij) over a sub-block's j > i; overwrites d.
 
     k(0) = +inf: a zero pairwise distance means a genuine atom of the cloud,
     whose energy really is infinite, so the lower bracket may be +inf here
@@ -362,21 +378,29 @@ def _block_pair_sum(d: np.ndarray, weights: np.ndarray, i0: int) -> float:
     """
     with np.errstate(divide="ignore"):
         ks = _kern_inplace(d)
-    np.copyto(ks[:, :len(ks)], 0.0, where=np.tri(len(ks), dtype=bool))
-    rows = np.einsum("ij,j->i", ks, weights[i0:])
-    return float(np.einsum("i,i->", weights[i0:i0 + len(ks)], rows))
+    diag = s0 - i0
+    np.copyto(ks[:, :diag + len(ks)], 0.0, where=np.tri(len(ks), diag + len(ks), diag, dtype=bool))
+    np.einsum("ij,j->i", ks, weights[i0:], out=out)
+
+
+def _block_sums(weights: np.ndarray, rows: np.ndarray) -> list:
+    """sum_i w_i rows_i over each row block of _pair_blocks, in order."""
+    return [float(np.einsum("i,i->", weights[i0:i0 + _PAIR_CHUNK], rows[i0:i0 + _PAIR_CHUNK]))
+            for i0 in range(0, len(rows), _PAIR_CHUNK)]
 
 
 def _pair_lower(points: np.ndarray, weights: np.ndarray) -> float:
     """Sum over i != j of w_i w_j k(|x_i - x_j|); +inf on coincident atoms.
 
-    Each unordered pair is evaluated once, in the blocks of _pair_blocks,
+    Each unordered pair is evaluated once, in the sub-blocks of _pair_blocks,
     with no BLAS call.  Clouds of equal length are thus summed in the same
     association order; combined with the monotonicity of IEEE addition this
     makes termwise-dominated clouds produce ordered sums exactly.
     """
-    return 2.0 * sum(_block_pair_sum(np.hypot(dx, dy, out=dx), weights, i0)
-                     for i0, dx, dy in _pair_blocks(points))
+    rows = np.empty(len(weights))
+    for i0, s0, dx, dy in _pair_blocks(points):
+        _row_sums(np.hypot(dx, dy, out=dx), weights, i0, s0, rows[s0:s0 + len(dx)])
+    return 2.0 * sum(_block_sums(weights, rows))
 
 
 def _surcharge(weights: np.ndarray, diam: np.ndarray | None) -> float:
@@ -538,7 +562,8 @@ def radial_inequality_check(P: PlanarMeasure, x0) -> dict:
     (exact symmetry, duplicated atoms) register as k(0) = +inf while radii
     separated by rounding noise stay distinct and keep the bracket finite.
 
-    One pass over the pair blocks of _pair_lower makes the check and both sums.
+    One pass over the pair sub-blocks of _pair_lower makes the check and both
+    sums.
     """
     if P.n_atoms == 0:
         raise EmptyMeasure("radial inequality check needs at least one atom")
@@ -551,13 +576,18 @@ def radial_inequality_check(P: PlanarMeasure, x0) -> dict:
     # large kernel violation.  The comparison is symmetric in i and j, so
     # the j <= i entries of a block repeat pairs already checked.
     slack = 4.0 * np.finfo(float).eps
-    for i0, dx, dy in _pair_blocks(P.points):
+    rows_xy, rows_r = np.empty(P.n_atoms), np.empty(P.n_atoms)
+    for i0, s0, dx, dy in _pair_blocks(P.points):
+        s1 = s0 + len(dx)
         s_xy = np.hypot(dx, dy, out=dx)
-        r_rows, r_cols = r[i0:i0 + len(dx), None], r[None, i0:]
+        r_rows, r_cols = r[s0:s1, None], r[None, i0:]
         s_r = np.abs(np.subtract(r_rows, r_cols, out=dy), out=dy)
         holds = holds and bool(np.all(s_r <= s_xy + slack * (r_rows + r_cols)))
-        lhs += _block_pair_sum(s_xy, P.weights, i0)
-        rhs += _block_pair_sum(s_r, P.weights, i0)
+        _row_sums(s_xy, P.weights, i0, s0, rows_xy[s0:s1])
+        _row_sums(s_r, P.weights, i0, s0, rows_r[s0:s1])
+    for block_xy, block_r in zip(_block_sums(P.weights, rows_xy), _block_sums(P.weights, rows_r)):
+        lhs += block_xy
+        rhs += block_r
     return {"lhs_lower": 2.0 * lhs, "rhs_lower": 2.0 * rhs, "holds_pointwise": holds}
 
 

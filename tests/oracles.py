@@ -415,6 +415,49 @@ def pair_lower_oracle(points, weights) -> float:
     return 2.0 * math.fsum(terms)
 
 
+# The planar pair walk as it stood when each 512-row block was materialised
+# whole, kept verbatim as the reference for bit-identity: per-row einsum
+# over the columns j >= i0, then one einsum per block over its row sums.
+
+PAIR_CHUNK_REFERENCE = 512
+
+
+def _pair_blocks_reference(points):
+    x, y = points.T
+    for i0 in range(0, len(x), PAIR_CHUNK_REFERENCE):
+        i1 = i0 + PAIR_CHUNK_REFERENCE
+        yield i0, x[i0:i1, None] - x[i0:], y[i0:i1, None] - y[i0:]
+
+
+def _block_pair_sum_reference(d, weights, i0: int) -> float:
+    ks = _kern(d)
+    np.copyto(ks[:, :len(ks)], 0.0, where=np.tri(len(ks), dtype=bool))
+    rows = np.einsum("ij,j->i", ks, weights[i0:])
+    return float(np.einsum("i,i->", weights[i0:i0 + len(ks)], rows))
+
+
+def pair_lower_reference(points, weights) -> float:
+    """2 sum_{i<j} w_i w_j k(|x_i - x_j|) in whole 512-row blocks."""
+    return 2.0 * sum(_block_pair_sum_reference(np.hypot(dx, dy), weights, i0)
+                     for i0, dx, dy in _pair_blocks_reference(points))
+
+
+def radial_inequality_reference(points, weights, x0) -> dict:
+    """The radial-reduction check and both pair sums in whole 512-row blocks."""
+    r = np.hypot(points[:, 0] - float(x0[0]), points[:, 1] - float(x0[1]))
+    holds = True
+    lhs = rhs = 0.0
+    slack = 4.0 * np.finfo(float).eps
+    for i0, dx, dy in _pair_blocks_reference(points):
+        s_xy = np.hypot(dx, dy)
+        r_rows, r_cols = r[i0:i0 + len(dx), None], r[None, i0:]
+        s_r = np.abs(r_rows - r_cols)
+        holds = holds and bool(np.all(s_r <= s_xy + slack * (r_rows + r_cols)))
+        lhs += _block_pair_sum_reference(s_xy, weights, i0)
+        rhs += _block_pair_sum_reference(s_r, weights, i0)
+    return {"lhs_lower": 2.0 * lhs, "rhs_lower": 2.0 * rhs, "holds_pointwise": holds}
+
+
 def biot_savart_oracle(points, weights, xs, ys) -> tuple:
     """Velocity u(g) = sum_i w_i (g - x_i)^perp / (2 pi |g - x_i|^2), atom by atom.
 

@@ -416,9 +416,10 @@ class TestBracketSumsBitIdentical:
         bounds, masses, cents, lag_lo, lag_hi, keep = args
         W, s = energy_mod._NEAR_WINDOW, energy_mod._NEAR_FACTOR
         assert (masses.size, lag_lo, lag_hi) == (64 * s, 1, (W + 1) * s)
-        # partial lags select pairs, lag W s and the lags inside take all
+        # lags up to W s lie inside the window and take all pairs; only the
+        # lags beyond it select
         partial = [L for L in range(lag_lo, lag_hi) if keep(L) is not None]
-        assert partial and W * s not in partial and min(partial) == (W - 1) * s + 1
+        assert partial and min(partial) == W * s + 1
         lows, _, _ = self._same(*args)
         assert len(lows) == lag_hi - lag_lo
 
@@ -578,9 +579,12 @@ class TestWorkRecord:
         assert est.as_dict()["work"] == [list(w) for w in est.work]
 
     def test_atom_round_is_recorded(self):
+        # the near bucket finds the atom before any far field is summed
         est = energy_double_stieltjes(table_cdf([0.0, 0.5, 1.0], [0.2, 0.7, 1.0]))
         assert est.stop_reason == "atom"
-        assert len(est.work) == len(est.trace) and est.work[-1][1] == 0
+        assert len(est.work) == len(est.trace)
+        assert est.work[-1] == (est.trace[-1][0], 0, 0)
+        assert energy_double_stieltjes(table_cdf([0.3], [1.2])).work == ((16, 0, 0),)
 
     def test_other_engines_leave_it_empty(self):
         assert energy_one_sided(uniform_cdf()).work == ()

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,8 @@ from oracles import (
     circle_energy_limit_oracle,
     circle_r2_moment_oracle,
     pair_lower_oracle,
+    pair_lower_reference,
+    radial_inequality_reference,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -197,7 +200,8 @@ class TestRadialInequality:
 
 class TestPairSums:
     """_pair_lower against the term-by-term oracle.  The sizes straddle the
-    row-block length _PAIR_CHUNK = 512, whose blocks visit only j >= i0."""
+    512-row blocks, which visit only j >= i0, and the sub-blocks of at most
+    _BLOCK_ELEMENTS entries that each block is computed in."""
 
     # half width 3: most pairs are more than 1 apart and their terms vanish
     @pytest.mark.parametrize("n,half_width", [
@@ -223,6 +227,74 @@ class TestPairSums:
         # boundaries, so the sums are ordered with no tolerance
         pts, ws = random_cloud(1100, 2.0, seed=13)
         assert planar_mod._pair_lower(0.5 * pts, ws) >= planar_mod._pair_lower(pts, ws)
+
+
+# Sizes around the 512-row blocks and the sub-block row counts
+# _BLOCK_ELEMENTS // (n - i0): 256 and 512 rows split evenly, 257 and 513
+# leave a short last sub-block, 4097 a one-row last block.
+BIT_IDENTITY_SIZES = [1, 2, 3, 7, 128, 129, 256, 257, 511, 512, 513, 1030, 1100, 2049, 4097]
+
+
+class TestPairWalkBitIdentical:
+    """The sub-blocked walk gives exactly the sums of whole 512-row blocks
+    (tests/oracles.py keeps that walk)."""
+
+    @pytest.mark.parametrize("n", BIT_IDENTITY_SIZES)
+    def test_pair_lower(self, n):
+        pts, ws = random_cloud(n, 0.5, seed=n)
+        assert planar_mod._pair_lower(pts, ws) == pair_lower_reference(pts, ws)
+
+    @pytest.mark.parametrize("n", BIT_IDENTITY_SIZES)
+    def test_radial_inequality(self, n):
+        pts, ws = random_cloud(n, 0.5, seed=n + 1)
+        x0 = (0.1, -0.2)
+        got = radial_inequality_check(planar_measure(pts, ws), x0)
+        assert got == radial_inequality_reference(pts, ws, x0)
+
+    @pytest.mark.parametrize("n", [64, 256, 1024, 1100])
+    @pytest.mark.parametrize("x0", [(1.0, 0.0), (0.0, 0.0)])
+    def test_radial_inequality_on_circles(self, n, x0):
+        P = circle_measure(n)
+        want = radial_inequality_reference(P.points, P.weights, x0)
+        assert radial_inequality_check(P, x0) == want
+
+    # rows 1030 and 1099 share the last block of 1100 atoms; rows 1900 and
+    # 2000 lie in different sub-blocks of the block [1536, 2048)
+    @pytest.mark.parametrize("n,i,j", [(1100, 1030, 1099), (2049, 1900, 2000)])
+    def test_coincident_pair(self, n, i, j):
+        pts, ws = random_cloud(n, 0.5, seed=n)
+        pts[j] = pts[i]
+        assert planar_mod._pair_lower(pts, ws) == math.inf
+        assert pair_lower_reference(pts, ws) == math.inf
+        x0 = (0.1, -0.2)
+        got = radial_inequality_check(planar_measure(pts, ws), x0)
+        want = radial_inequality_reference(pts, ws, x0)
+        assert got["lhs_lower"] == got["rhs_lower"] == math.inf
+        assert got == want
+
+
+class TestPairWalkMemory:
+    """The pair walk's peak allocation is a few _BLOCK_ELEMENTS-entry blocks,
+    where whole 512-row blocks of a 4096-atom cloud peak at about 60 MiB."""
+
+    BOUND = 16 * planar_mod._BLOCK_ELEMENTS * 8  # 16 float blocks: 8 MiB
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_pair_lower(self):
+        pts, ws = random_cloud(4096, 0.5, seed=4096)
+        assert self._peak(lambda: planar_mod._pair_lower(pts, ws)) < self.BOUND
+
+    def test_radial_inequality(self):
+        P = circle_measure(4096)
+        assert self._peak(lambda: radial_inequality_check(P, (1.0, 0.0))) < self.BOUND
 
 
 class TestEnergyFamilies:
