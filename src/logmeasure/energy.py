@@ -132,8 +132,12 @@ class EnergyEstimate:
     stop_reason is one of the STOP_* names and upper_kind one of the UPPER_*
     names.  work holds one (partition size, near pairs, far pairs) triple
     per double-engine round: the cell pairs its lag sums bracketed on the
-    near bucket's fine partition and on the coarse one (other engines leave
-    it empty).  All three are deterministic, so reports stay byte-identical.
+    near bucket's fine partition and on the coarse one.  A planar family or
+    single-cloud estimate (planar.energy_planar) holds one (atoms, kernel
+    evaluations, atom pairs represented) triple per level instead: n - 1
+    kernels for the n (n - 1) / 2 pairs of a circle level, and both counts
+    equal on a walked level.  The other line engines leave it empty.  All
+    three are deterministic, so reports stay byte-identical.
     """
 
     value: float
@@ -233,8 +237,8 @@ def _bracket_sums(bounds, masses, cents, lag_lo: int, lag_hi: int, keep=None):
     of the pair's centroid gap (from the centroid brackets ``cents``), g its
     gap and s its span:
 
-    * lower: Jensen, m_i m_j k(min(d+, s));
-    * upper at lag >= 2: the chord of k over [g, s] at max(d-, g)
+    * lower: Jensen, m_i m_j k(d+), where d+ <= s;
+    * upper at lag >= 2: the chord of k over [g, s] at d-, where d- >= g
       (Edmundson-Madansky), m_i m_j [k(g) + (k(s) - k(g)) (d - g)/(s - g)];
     * upper at lag 1 (touching cells, no gap): m_i m_j k(wider width),
       raised to the lower where that is larger - a heuristic that the near
@@ -245,7 +249,7 @@ def _bracket_sums(bounds, masses, cents, lag_lo: int, lag_hi: int, keep=None):
     The gap at lag L is an interior slice of the span at lag L-2, so each
     span kernel (log) pass is reused two lags later.  Once every gap is
     beyond kernel range the loop stops: gaps grow with the lag, and spans and
-    clamped centroid gaps are at least as wide, so all remaining terms are 0.
+    centroid gaps are at least as wide, so all remaining terms are 0.
 
     keep(L), when given, returns the indices i of the pairs (i, i+L) to
     count at lag L, or None to count all of them.  Returns ordered per-lag
@@ -304,10 +308,13 @@ def _bracket_sums(bounds, masses, cents, lag_lo: int, lag_hi: int, keep=None):
                 mm, span, ks, kg, d_hi, d_lo = picked[:6]
                 gap = picked[6] if L >= 2 else None
             # d_hi becomes the lower kernel, d_lo the chord fraction, and the
-            # chord's denominator the upper kernel
-            low = _kern_inplace(np.maximum(np.minimum(d_hi, span, out=d_hi), _TINY, out=d_hi))
+            # chord's denominator the upper kernel.  The centroid brackets
+            # lie in their cells and rounded subtraction is monotone in each
+            # argument, so d_hi <= span and d_lo >= gap hold exactly: neither
+            # needs a clamp.
+            low = _kern_inplace(np.maximum(d_hi, _TINY, out=d_hi))
             if L >= 2:
-                frac = np.subtract(np.maximum(d_lo, gap, out=d_lo), gap, out=d_lo)
+                frac = np.subtract(d_lo, gap, out=d_lo)
                 den = np.maximum(np.subtract(span, gap, out=up_b[:r]), _TINY, out=up_b[:r])
                 frac = np.minimum(np.divide(frac, den, out=frac), 1.0, out=frac)
                 up = np.subtract(ks, kg, out=den)

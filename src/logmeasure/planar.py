@@ -14,8 +14,9 @@ judged across a refinement family rebuilt from their provenance: a single
 point cloud never certifies a finite energy, because every atomization
 looks infinite at its own scale.  There the pairwise i != j sum is the
 lower bracket, and the upper bracket adds a per-atom self-interaction
-surcharge w_i^2 * k(cell diameter) (heuristic, documented).  The pair
-kernels evaluate each unordered pair once, and neither they nor the
+surcharge w_i^2 * k(cell diameter) (heuristic, documented).  Circle levels
+sum their pairs by rotation class, n - 1 kernels per level; every other
+cloud's pair walk evaluates each unordered pair once.  Neither they nor the
 Biot-Savart sums call BLAS, so no result depends on its thread count.
 """
 from __future__ import annotations
@@ -403,6 +404,34 @@ def _pair_lower(points: np.ndarray, weights: np.ndarray) -> float:
     return 2.0 * sum(_block_sums(weights, rows))
 
 
+def _walked_pair_lower(Q: PlanarMeasure) -> tuple:
+    """_pair_lower of any cloud, and the n (n - 1) / 2 kernels it evaluates."""
+    n = Q.n_atoms
+    return _pair_lower(Q.points, Q.weights), n * (n - 1) // 2
+
+
+def _circle_pair_lower(Q: PlanarMeasure) -> tuple:
+    """_pair_lower of a circle_measure cloud, summed by rotation class.
+
+    circle_measure(n) is invariant under rotation by 2 pi / n, so the ordered
+    pairs (i, i + d mod n) of class d all lie |x_0 - x_d| apart.  Of a
+    class's n pairs, n - 2 weigh w_0^2 and two involve the adjusted last
+    weight of _exact_total_weights, so every class weighs
+    C = (n - 2) w_0^2 + 2 w_0 w_last and the sum is
+    C * sum_{d=1}^{n-1} k(|x_0 - x_d|).  In real arithmetic that is the
+    walk's sum; in floating point the atoms are symmetric only up to
+    rounding, so the two agree to within n eps relative.  Returns the sum
+    and the n - 1 kernels it evaluates.
+    """
+    n = Q.n_atoms
+    w0, w_last = float(Q.weights[0]), float(Q.weights[-1])
+    assert bool(np.all(Q.weights[:-1] == w0)), "rotation classes need n - 1 equal weights"
+    x, y = Q.points.T
+    with np.errstate(divide="ignore"):
+        ks = _kern_inplace(np.hypot(x[0] - x[1:], y[0] - y[1:]))
+    return ((n - 2) * w0 * w0 + 2.0 * w0 * w_last) * float(np.sum(ks)), n - 1
+
+
 def _surcharge(weights: np.ndarray, diam: np.ndarray | None) -> float:
     """Self-interaction surcharge sum of w_i^2 k(diam_i); +inf if unknown."""
     if diam is None:
@@ -416,10 +445,13 @@ def _family_schedule(kind: str) -> tuple:
     return tuple(n for n in FAMILY_SCHEDULE if n * per_atom <= _MAX_ATOMS)
 
 
-# Rebuilds a cloud at refinement level n from its provenance, per kind.
+# Per refinable kind: the builder of the cloud at refinement level n from its
+# provenance, and the pair sum of such a cloud (with its kernel count).
 _REFINE = {
-    PROV_CIRCLE: lambda P, n: circle_measure(n),
-    PROV_BLOB: lambda P, n: blob_approximation(P.provenance["profile"], n, P.provenance["radius"]),
+    PROV_CIRCLE: (lambda P, n: circle_measure(n), _circle_pair_lower),
+    PROV_BLOB: (lambda P, n: blob_approximation(P.provenance["profile"], n,
+                                                P.provenance["radius"]),
+                _walked_pair_lower),
 }
 
 
@@ -431,13 +463,20 @@ def energy_planar(P: PlanarMeasure) -> EnergyEstimate:
     (lower bracket 0, the pair sum of one atom).  Circle and blob clouds are
     judged over a refinement family: the i != j pairwise sum is the lower
     bracket at each level, and the upper bracket adds the per-atom
-    surcharge.  The whole refinement schedule is always run, and
-    FiniteConverged requires the final two levels to agree within half of
-    FAMILY_TOL with a final surcharge that small as well (half per component
-    keeps the combined uncertainty within FAMILY_TOL).  A +inf lower bracket
-    (coincident atoms) is a divergence certificate at any level.  Clouds
-    without a refinable provenance are judged on the single cloud and can
-    never certify finiteness (Inconclusive at best).
+    surcharge.  Circle levels are summed by rotation class (n - 1 kernels
+    per level, _circle_pair_lower); every other cloud goes through the
+    sub-block walk of _pair_lower.  The whole refinement schedule is always
+    run, and FiniteConverged requires the final two levels to agree within
+    half of FAMILY_TOL with a final surcharge that small as well (half per
+    component keeps the combined uncertainty within FAMILY_TOL).  A +inf
+    lower bracket (coincident atoms) is a divergence certificate at any
+    level.  Clouds without a refinable provenance are judged on the single
+    cloud and can never certify finiteness (Inconclusive at best).
+
+    work holds one (atoms, kernel evaluations, atom pairs represented)
+    triple per trace row: n - 1 kernels stand for n (n - 1) / 2 pairs on a
+    circle level, and a walked level evaluates each pair once.  A line
+    cloud keeps the double engine's work record.
     """
     if P.n_atoms == 0:
         raise EmptyMeasure("planar energy needs at least one atom")
@@ -446,33 +485,38 @@ def energy_planar(P: PlanarMeasure) -> EnergyEstimate:
         return energy_double_stieltjes(P.provenance["cdf"], _LINE_CONFIG)
     if kind == PROV_DIRAC:
         return EnergyEstimate(math.inf, 0.0, math.inf, VERDICT_DIVERGENT,
-                              ((1, 0.0, math.inf),), STOP_ATOM, UPPER_HEURISTIC)
-    levels: tuple = _family_schedule(kind) if kind in _REFINE else (None,)
+                              ((1, 0.0, math.inf),), STOP_ATOM, UPPER_HEURISTIC, ((1, 0, 0),))
+    if kind in _REFINE:
+        build, pair_sum = _REFINE[kind]
+        clouds = (build(P, n) for n in _family_schedule(kind))
+    else:
+        clouds, pair_sum = (P,), _walked_pair_lower
     trace = []
+    work = []
     prev = None
     drift = math.inf
     lower = 0.0
     sur = math.inf
     upper = math.inf
-    for lev in levels:
-        Q = P if lev is None else _REFINE[kind](P, lev)
-        lower = _pair_lower(Q.points, Q.weights)
+    for Q in clouds:
+        lower, evals = pair_sum(Q)
         sur = _surcharge(Q.weights, Q.cell_diameters)
         upper = lower + sur
         trace.append((Q.n_atoms, lower, upper))
+        work.append((Q.n_atoms, evals, Q.n_atoms * (Q.n_atoms - 1) // 2))
         if math.isinf(lower):
-            return EnergyEstimate(math.inf, math.inf, math.inf,
-                                  VERDICT_DIVERGENT, tuple(trace), STOP_ATOM, UPPER_HEURISTIC)
+            return EnergyEstimate(math.inf, math.inf, math.inf, VERDICT_DIVERGENT,
+                                  tuple(trace), STOP_ATOM, UPPER_HEURISTIC, tuple(work))
         if prev is not None:
             drift = abs(lower - prev)
         prev = lower
     scale = max(1.0, abs(lower))
     if drift <= 0.5 * FAMILY_TOL * scale and sur <= 0.5 * FAMILY_TOL * scale:
-        return EnergyEstimate(lower + 0.5 * sur, lower, upper,
-                              VERDICT_FINITE, tuple(trace), STOP_AGREEMENT, UPPER_HEURISTIC)
+        return EnergyEstimate(lower + 0.5 * sur, lower, upper, VERDICT_FINITE,
+                              tuple(trace), STOP_AGREEMENT, UPPER_HEURISTIC, tuple(work))
     value = lower + 0.5 * sur if math.isfinite(upper) else lower
     return EnergyEstimate(value, lower, upper, VERDICT_INCONCLUSIVE, tuple(trace),
-                          STOP_SCHEDULE, UPPER_HEURISTIC)
+                          STOP_SCHEDULE, UPPER_HEURISTIC, tuple(work))
 
 
 def _radial_distances(P: PlanarMeasure, x0) -> np.ndarray:

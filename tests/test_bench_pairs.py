@@ -7,13 +7,20 @@ import pathlib
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 
 # Stands in for lmbench/run.py: one result line, which reports a wrong
-# output on WRONG_SEED, or exit 3 on FAIL_SEED.
+# output on WRONG_SEED, or exit 3 on FAIL_SEED.  A plain run writes its
+# operation times to lmbench/out, except on NOFILE_SEED: operation "a" takes
+# SPEED * seed times 1, 3 and 2, operation "b" SPEED.
 STUB = '''
-import json, sys
+import json, os, sys
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
 if seed == FAIL_SEED:
     sys.stderr.write("Traceback ...\\nRuntimeError: stub failure on seed %d\\n" % seed)
     sys.exit(3)
+if sys.argv[sys.argv.index("--trace") + 1] == "0" and seed != NOFILE_SEED:
+    os.makedirs("lmbench/out", exist_ok=True)
+    with open("lmbench/out/result-w-seed%d-trace0.json" % seed, "w") as fh:
+        json.dump({"op_times_s": {"a": [SPEED * seed, 3 * SPEED * seed, 2 * SPEED * seed],
+                                  "b": [SPEED]}}, fh)
 wrong = seed == WRONG_SEED
 print(json.dumps({"correct": not wrong,
                   "metrics": {"round_s": {"value": SPEED * seed, "unit": "s"}},
@@ -29,11 +36,11 @@ def _bench_pairs():
 
 
 def _checkout(root: pathlib.Path, name: str, speed: float, fail_seed: int,
-              wrong_seed: int = -1) -> str:
+              wrong_seed: int = -1, nofile_seed: int = -1) -> str:
     (root / name / "lmbench").mkdir(parents=True)
     (root / name / "lmbench" / "run.py").write_text(
         STUB.replace("FAIL_SEED", str(fail_seed)).replace("WRONG_SEED", str(wrong_seed))
-        .replace("SPEED", str(speed)))
+        .replace("NOFILE_SEED", str(nofile_seed)).replace("SPEED", str(speed)))
     return str(root / name)
 
 
@@ -69,6 +76,27 @@ def test_complete_run_summarises_every_pair(tmp_path):
     assert "incomplete" not in record
     assert record["end_to_end"]["round_s"]["change_lower_in_pairs"] == 4
     assert record["failed_share"]["parent"] == ["0/24"] * 4
+    # per-run medians of "a" are 2 * SPEED * seed over seeds 1-4
+    assert record["op_median_s"] == {"parent": {"a": 5.0, "b": 1.0},
+                                     "change": {"a": 2.5, "b": 0.5}}
+
+
+def test_missing_or_stale_op_times_record_nothing(tmp_path):
+    out = tmp_path / "bench.json"
+    parent = _checkout(tmp_path, "parent", 1.0, fail_seed=-1, nofile_seed=2)
+    # seed 2's parent run writes no file, so an older one must be ignored
+    stale = pathlib.Path(parent) / "lmbench" / "out" / "result-w-seed2-trace0.json"
+    stale.parent.mkdir()
+    stale.write_text(json.dumps({"op_times_s": {"a": [100.0], "c": [100.0]}}))
+    code = _bench_pairs().main([
+        "--parent", parent,
+        "--change", _checkout(tmp_path, "change", 0.5, fail_seed=-1, nofile_seed=3),
+        "--workload", "w", "--seeds", "1-3", "--seconds", "1", "--out", str(out)])
+    assert code == 0
+    record = json.loads(out.read_text())["workloads"]["w"]
+    # parent "a" medians from seeds 1 and 3 (2 and 6), change from 1 and 2
+    assert record["op_median_s"] == {"parent": {"a": 4.0, "b": 1.0},
+                                     "change": {"a": 1.5, "b": 0.5}}
 
 
 def test_wrong_output_ends_the_measurement(tmp_path):

@@ -68,6 +68,11 @@ class TestEnergyCommand:
         assert r.returncode == 0
         doc = json.loads((tmp_path / "energy.json").read_text())
         assert abs(doc["estimate"]["value"] - 0.3218262627019117) < 1e-12
+        # one (atoms, kernel evaluations, pairs represented) entry per level:
+        # a circle level of n atoms is summed from its n - 1 rotation classes
+        work = doc["estimate"]["work"]
+        assert [w[0] for w in work] == [row[0] for row in doc["estimate"]["trace"]]
+        assert work[-1] == [4096, 4095, 8386560]
 
     def test_engine_measure_mismatch(self, tmp_path):
         r = run_cli("energy", "--measure", CORPUS / "circle64.json",

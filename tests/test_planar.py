@@ -297,6 +297,55 @@ class TestPairWalkMemory:
         assert self._peak(lambda: radial_inequality_check(P, (1.0, 0.0))) < self.BOUND
 
 
+class TestCircleClassSums:
+    """Circle levels are summed by rotation class, n - 1 kernels each."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 64, 100, 1100, 4096])
+    def test_matches_walk_reference(self, n):
+        P = circle_measure(n)
+        got, evals = planar_mod._circle_pair_lower(P)
+        want = pair_lower_reference(P.points, P.weights)
+        # equal in real arithmetic; the float atoms are symmetric only up to
+        # rounding (n <= 5 has every pair at least 1 apart: both sums are 0)
+        assert abs(got - want) <= n * EPS * want
+        assert evals == n - 1
+
+    def test_circle_levels_skip_the_walk(self, monkeypatch):
+        walked = []
+        real = planar_mod._pair_lower
+
+        def spy(points, weights):
+            walked.append(len(weights))
+            return real(points, weights)
+
+        monkeypatch.setattr(planar_mod, "_pair_lower", spy)
+        energy_planar(circle_measure(64))
+        assert walked == []
+        prof = radial_cdf(dirac_at((0.0, 0.0)), (0.0, 0.0))
+        est = energy_planar(blob_approximation(prof, 64, 0.1))
+        assert walked == [n for n, _, _ in est.trace]
+        # a walked level evaluates every pair it represents once
+        assert est.work == tuple((n, n * (n - 1) // 2, n * (n - 1) // 2) for n in walked)
+
+    def test_circle_estimate_holds_python_floats(self):
+        est = energy_planar(circle_measure(64))
+        assert all(type(v) is float for v in (est.value, est.lower, est.upper))
+        assert all(type(v) is float for row in est.trace for v in row[1:])
+
+    def test_work_record(self):
+        est = energy_planar(circle_measure(64))
+        assert est.work == tuple((n, n - 1, n * (n - 1) // 2) for n in planar_mod.FAMILY_SCHEDULE)
+        assert est.work[-1] == (4096, 4095, 8386560)
+        assert est.as_dict()["work"][-1] == [4096, 4095, 8386560]
+
+    def test_single_cloud_work_records(self):
+        pts = [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]]
+        assert energy_planar(planar_measure(pts, [1.0, 1.0, 1.0])).work == ((3, 3, 3),)
+        stacked = energy_planar(planar_measure([[0.0, 0.0], [0.0, 0.0]], [0.5, 0.5]))
+        assert stacked.work == ((2, 1, 1),)
+        assert energy_planar(dirac_at((0.25, -0.5))).work == ((1, 0, 0),)
+
+
 class TestEnergyFamilies:
     def test_circle_family_frozen(self):
         est = energy_planar(circle_measure(64))

@@ -10,9 +10,14 @@ sides run ``lmbench/run.py --trace 0`` back to back, the side that goes
 first alternating from pair to pair.  ``--traced N`` then runs N traced
 runs per side on the seeds after the last one, also alternating.  The
 record for the workload (every run's result line; median and quartiles of
-each end-to-end metric per side; the pairs the change won; the per-layer
-metrics of the traced runs) is merged into ``--out`` with the core count
-and the library versions.  Run it on an otherwise idle machine.
+each end-to-end metric per side; the pairs the change won; per side, the
+median over pairs of each operation's median time; the per-layer metrics of
+the traced runs) is merged into ``--out`` with the core count and the
+library versions.  Run it on an otherwise idle machine.
+
+Operation times come from the ``lmbench/out/result-<workload>-seed<seed>-trace0.json``
+file that each plain run writes in its checkout; a run that wrote none adds
+nothing to them.
 
 A run that exits non-zero, or whose result line does not say
 ``"correct": true``, ends the measurement: the record is marked
@@ -46,6 +51,28 @@ def run(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> 
     if out.returncode != 0:
         return {"exit_code": out.returncode, "stderr_tail": out.stderr[-STDERR_TAIL:]}
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def mtime(path: str):
+    """The file's modification time in ns, or None if there is no file."""
+    try:
+        return os.stat(path).st_mtime_ns
+    except OSError:
+        return None
+
+
+def op_medians(path: str, before) -> dict:
+    """Each operation's median time in the result file at ``path``; {} if
+    the file is missing or still has the modification time ``before`` that
+    it had before the run."""
+    if mtime(path) in (None, before):
+        return {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            times = json.load(fh).get("op_times_s", {})
+    except (OSError, ValueError):
+        return {}
+    return {op: statistics.median(ts) for op, ts in times.items() if ts}
 
 
 def save(path: str, workload: str, record: dict) -> None:
@@ -96,16 +123,22 @@ def main(argv=None) -> int:
 
     pairs = []
     record = {"seconds": args.seconds, "pairs": pairs}
+    op_times = {s: {} for s in sides}
     for k, seed in enumerate(range(first, last + 1)):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         pairs.append(pair)
         for side in order:
+            path = os.path.join(sides[side], "lmbench", "out",
+                                f"result-{args.workload}-seed{seed}-trace0.json")
+            before = mtime(path)
             pair[side] = run(sides[side], args.workload, seed, args.seconds, 0)
             if failed(pair[side], record, seed, side):
                 save(args.out, args.workload, record)
                 return 1
             print(seed, side, json.dumps(pair[side]["metrics"]), flush=True)
+            for op, t in op_medians(path, before).items():
+                op_times[side].setdefault(op, []).append(t)
 
     record["end_to_end"] = {}
     for metric in pairs[0]["parent"]["metrics"]:
@@ -114,6 +147,8 @@ def main(argv=None) -> int:
             **{s: spread(v) for s, v in vals.items()},
             "change_lower_in_pairs": sum(c < p for p, c in zip(vals["parent"], vals["change"])),
         }
+    record["op_median_s"] = {s: {op: statistics.median(ts) for op, ts in sorted(times.items())}
+                             for s, times in op_times.items()}
     record["failed_share"] = {
         s: [f"{p[s]['failed']}/{p[s]['attempted']}" for p in pairs] for s in sides}
 
