@@ -57,12 +57,11 @@ from .criteria import (  # noqa: F401
     MEMBER_CERTIFIED,
     MembershipVerdict,
     UNKNOWN,
-    check_log_modulus,
     classify_membership,
     fit_holder,
     l_log_l_gamma,
+    log_modulus_checks,
     lp_norm,
-    modulus_of_continuity,
 )
 from .planar import (  # noqa: F401
     GridSpec,

@@ -28,6 +28,7 @@ from .measures import (
     MonotoneCDF,
     QuadratureConfig,
     StepDensity,
+    _log_modulus_ratios,
     cdf_from_step_density,
     default_modulus_grid,
     sampled_modulus,
@@ -55,9 +56,7 @@ __all__ = [
     "RULE_LOG_MODULUS",
     "RULE_ENERGY",
     "RULE_SERIES",
-    "modulus_of_continuity",
     "fit_holder",
-    "check_log_modulus",
     "log_modulus_checks",
     "lp_norm",
     "l_log_l_gamma",
@@ -90,7 +89,9 @@ VALIDATION_SLACK = 1.05
 # Exponents tried by the L^p gate, strongest first.
 LP_EXPONENTS = (2.0, 1.5, 1.25)
 # Log-power moduli tried by the log-modulus gate, weakest (most inclusive)
-# first: a bound with small beta > 1 already certifies membership.
+# first: a bound with small beta > 1 already certifies membership.  The
+# first's first scale, 2^-4, is the fitting window's, so the gate continues
+# the classifier's one modulus sample.
 LOG_MODULUS_BETAS = (1.5, 2.0, 3.0)
 # Slope clamp keeping alpha in (0, 1].
 _ALPHA_FLOOR = 1e-6
@@ -140,27 +141,21 @@ class MembershipVerdict:
         return {"verdict": self.verdict, "rule": self.rule, "witness": dict(self.witness)}
 
 
-def modulus_of_continuity(F: MonotoneCDF, y: float) -> float:
-    """sup over a deterministic x grid of F(x + y) - F(x) at one scale y > 0."""
-    return float(sampled_modulus(F, float(y)))
-
-
-def fit_holder(
-    F: MonotoneCDF, j_min: int, j_max: int, grid: np.ndarray | None = None
-) -> HolderFit:
-    """Least-squares Holder fit of the sampled modulus over scales 2^-j.
-
-    Fits ln modulus against ln y for j in [j_min, j_max], clamps the slope
-    into (0, 1], refits the intercept for the clamped slope, and inflates K
-    so the bound holds on every sampled scale.  Scales where the sampled
-    modulus is zero certify the bound trivially and are excluded from the
-    regression.
-    """
+def fit_holder(F: MonotoneCDF, j_min: int, j_max: int) -> HolderFit:
+    """Least-squares Holder fit of the sampled modulus over scales 2^-j,
+    j in [j_min, j_max] (see _holder_fit)."""
     if not (0 <= j_min < j_max):
         raise BadParams(f"need 0 <= j_min < j_max, got [{j_min}, {j_max}]")
-    js = np.arange(j_min, j_max + 1, dtype=float)
-    ys = 2.0**-js
-    mods = np.asarray(sampled_modulus(F, ys, grid=grid), dtype=float)
+    ys = 2.0 ** -np.arange(j_min, j_max + 1, dtype=float)
+    return _holder_fit(ys, sampled_modulus(F, ys))
+
+
+def _holder_fit(ys: np.ndarray, mods: np.ndarray) -> HolderFit:
+    """Fit ln mods against ln ys, clamp the slope into (0, 1], refit the
+    intercept for the clamped slope, and inflate K so the bound holds on
+    every sampled scale.  Scales where the sampled modulus is zero certify
+    the bound trivially and are excluded from the regression.
+    """
     pos = mods > 0.0
     if np.count_nonzero(pos) < 2:
         raise DegenerateModulus(
@@ -182,29 +177,31 @@ def fit_holder(
                      tuple(float(m) for m in mods[pos]), residual)
 
 
-def check_log_modulus(F: MonotoneCDF, beta: float, grid: np.ndarray | None = None) -> dict:
-    """Test F(x+y) - F(x) <= 1/|ln y|**beta for dyadic y below e^-(beta+1).
+def log_modulus_checks(F: MonotoneCDF, betas) -> list:
+    """Test F(x+y) - F(x) <= 1/|ln y|**beta at each beta, for dyadic y from
+    the first below e^-(beta+1) down to 2^-40, on one modulus sample.
 
     The sup over x runs on the deterministic modulus grid; worst_ratio is
     the largest modulus * |ln y|**beta seen, and holds means it stayed at
     or below 1.
     """
-    return log_modulus_checks(F, (beta,), grid)[0]
+    return _log_checks(F, betas, np.empty(0), None)
 
 
-def log_modulus_checks(F: MonotoneCDF, betas, grid: np.ndarray | None = None) -> list:
-    """check_log_modulus at each beta, from one modulus sample that runs
-    from the largest of their first scales 2^-j0 down to 2^-40."""
+def _log_checks(F: MonotoneCDF, betas, head: np.ndarray, grid) -> list:
+    """log_modulus_checks with the modulus at the first head.size scales,
+    from the largest first scale 2^-j0 on, already sampled in head; the
+    rest is sampled on ``grid`` (None: the default modulus grid)."""
     if not min(betas) > 1.0:
         raise BadBeta(f"log-modulus exponent must be > 1, got {min(betas)}")
     j0s = [int(math.ceil(-math.log2(math.exp(-(beta + 1.0))))) for beta in betas]
     ys = 2.0 ** -np.arange(min(j0s), 41, dtype=float)
-    mods = np.asarray(sampled_modulus(F, ys, grid=grid), dtype=float)
+    mods = np.concatenate((head, sampled_modulus(F, ys[head.size:], grid=grid)))
     reports = []
     for beta, k in zip(betas, np.subtract(j0s, min(j0s))):
-        worst = float(np.max(mods[k:] * np.abs(np.log(ys[k:])) ** beta))
-        reports.append({"holds": bool(worst <= 1.0 + 1e-9),
-                        "eps_used": math.exp(-(beta + 1.0)), "worst_ratio": worst})
+        _, holds, worst, _ = _log_modulus_ratios(ys[k:], mods[k:], beta, 0.0)
+        reports.append({"holds": holds, "eps_used": math.exp(-(beta + 1.0)),
+                        "worst_ratio": worst})
     return reports
 
 
@@ -258,14 +255,9 @@ def l_log_l_gamma(f: StepDensity, gamma: float) -> float:
     return _series_eval(term_logs, 1.0)
 
 
-def _bound_confirmed(
-    F: MonotoneCDF, alpha: float, K: float, j_hi: int, grid: np.ndarray | None = None
-) -> bool:
-    """Out-of-sample check: K|y|^alpha keeps bounding the modulus for
-    VALIDATION_OCTAVES octaves past the fitting window (5% slack)."""
-    js = np.arange(j_hi + 1, j_hi + 1 + VALIDATION_OCTAVES, dtype=float)
-    ys = 2.0**-js
-    mods = np.asarray(sampled_modulus(F, ys, grid=grid), dtype=float)
+def _bound_confirmed(alpha: float, K: float, ys: np.ndarray, mods: np.ndarray) -> bool:
+    """Out-of-sample check: K|y|^alpha keeps bounding the modulus mods at
+    the VALIDATION_OCTAVES scales ys past the fitting window (5% slack)."""
     return bool(np.all(mods <= VALIDATION_SLACK * K * ys**alpha + 1e-15))
 
 
@@ -284,8 +276,7 @@ def classify_membership(measure, cfg: QuadratureConfig = QuadratureConfig()) -> 
     f = measure if isinstance(measure, StepDensity) else None
     F = cdf_from_step_density(f) if f is not None else measure
     j_lo, j_hi = DEFAULT_FIT_RANGE
-    # only the modulus gates read the grid, and only for continuous CDFs
-    grid = default_modulus_grid(F) if F.continuous else None
+    n_fit = j_hi - j_lo + 1
 
     declined = []  # (rule, reason) of every gate that did not conclude
 
@@ -303,17 +294,23 @@ def classify_membership(measure, cfg: QuadratureConfig = QuadratureConfig()) -> 
     # A sampled modulus cannot see a jump that no grid point sits just left
     # of, so the modulus gates certify only CDFs that carry the continuity
     # flag; any other CDF goes straight to the energy gates.
+    # They all read one sample of the modulus over 2^-j_lo .. 2^-(j_hi +
+    # VALIDATION_OCTAVES): the fitting window, then the out-of-sample
+    # scales; the log-modulus gate continues it down to 2^-40.
     fit = None
     no_fit = "no continuity certificate"
     if F.continuous:
+        grid = default_modulus_grid(F)
+        ys = 2.0 ** -np.arange(j_lo, j_hi + 1 + VALIDATION_OCTAVES, dtype=float)
+        mods = sampled_modulus(F, ys, grid=grid)
         try:
-            fit = fit_holder(F, j_lo, j_hi, grid=grid)
+            fit = _holder_fit(ys[:n_fit], mods[:n_fit])
         except DegenerateModulus:
             no_fit = "sampled modulus vanishes at the fitting scales"
 
     if fit is not None and fit.alpha >= LIPSCHITZ_MIN_ALPHA:
         K1 = float(np.max(np.asarray(fit.mods) / np.asarray(fit.scales)))
-        if _bound_confirmed(F, 1.0, K1, j_hi, grid=grid):
+        if _bound_confirmed(1.0, K1, ys[n_fit:], mods[n_fit:]):
             return MembershipVerdict(
                 MEMBER_CERTIFIED,
                 RULE_LIPSCHITZ,
@@ -333,7 +330,7 @@ def classify_membership(measure, cfg: QuadratureConfig = QuadratureConfig()) -> 
         declined.append((RULE_LP, f"L^p norm infinite for p in {LP_EXPONENTS}"))
 
     if fit is not None and HOLDER_MIN_ALPHA <= fit.alpha < 1.0:
-        if _bound_confirmed(F, fit.alpha, fit.K, j_hi, grid=grid):
+        if _bound_confirmed(fit.alpha, fit.K, ys[n_fit:], mods[n_fit:]):
             return MembershipVerdict(
                 MEMBER_CERTIFIED,
                 RULE_HOLDER,
@@ -349,7 +346,7 @@ def classify_membership(measure, cfg: QuadratureConfig = QuadratureConfig()) -> 
     if F.continuous:
         worst = []
         for beta, rep in zip(LOG_MODULUS_BETAS,
-                             log_modulus_checks(F, LOG_MODULUS_BETAS, grid)):
+                             _log_checks(F, LOG_MODULUS_BETAS, mods, grid)):
             if rep["holds"]:
                 return MembershipVerdict(
                     MEMBER_CERTIFIED,

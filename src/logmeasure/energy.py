@@ -171,14 +171,10 @@ def logplus_kernel(s: float) -> float:
     return -math.log(s)
 
 
-def _kern(arr: np.ndarray) -> np.ndarray:
-    """Vectorized kernel on positive distances (caller guarantees s > 0)."""
-    with np.errstate(divide="ignore"):
-        return np.maximum(-np.log(arr), 0.0)
-
-
 def _kern_inplace(arr: np.ndarray) -> np.ndarray:
-    """_kern written over arr, for callers that already ignore divide."""
+    """The kernel max(-ln s, 0) on distances s >= 0, written over arr
+    (callers that still need arr pass a copy).  s = 0 gives +inf, with a
+    divide warning unless the caller ignores divide."""
     np.log(arr, out=arr)
     np.negative(arr, out=arr)
     return np.maximum(arr, 0.0, out=arr)
@@ -310,13 +306,14 @@ def _bracket_sums(bounds, masses, cents, lag_lo: int, lag_hi: int, keep=None):
             # d_hi becomes the lower kernel, d_lo the chord fraction, and the
             # chord's denominator the upper kernel.  The centroid brackets
             # lie in their cells and rounded subtraction is monotone in each
-            # argument, so d_hi <= span and d_lo >= gap hold exactly: neither
-            # needs a clamp.
+            # argument, so d_hi <= span, gap <= d_lo and d_lo - gap <= span -
+            # gap hold exactly: no clamp is needed, and the chord fraction is
+            # at most 1 (0 where span = gap, whose den is _TINY).
             low = _kern_inplace(np.maximum(d_hi, _TINY, out=d_hi))
             if L >= 2:
                 frac = np.subtract(d_lo, gap, out=d_lo)
                 den = np.maximum(np.subtract(span, gap, out=up_b[:r]), _TINY, out=up_b[:r])
-                frac = np.minimum(np.divide(frac, den, out=frac), 1.0, out=frac)
+                frac = np.divide(frac, den, out=frac)
                 up = np.subtract(ks, kg, out=den)
                 up = np.add(kg, np.multiply(up, frac, out=up), out=up)
             else:
@@ -412,20 +409,22 @@ def _diag_uppers(bounds: np.ndarray, masses: np.ndarray, ball: _BallMass):
     uppers).
     """
     widths = np.maximum(np.diff(bounds), _TINY)
-    self_up = masses * (masses * _kern(widths) + ball.integral(masses, 2.0 * np.minimum(widths, 1.0)))
+    self_up = masses * (masses * _kern_inplace(widths.copy())
+                        + ball.integral(masses, 2.0 * np.minimum(widths, 1.0)))
     D = widths[:-1] + widths[1:]
-    kD = _kern(D)
+    kD = _kern_inplace(D.copy())
     mi, mj = masses[:-1], masses[1:]
     Dc = np.minimum(D, 1.0)
     touch_up = mi * (mj * kD + ball.integral(mj, Dc)) + mj * (mi * kD + ball.integral(mi, Dc))
     return self_up, touch_up
 
 
-def _near_bracket(F, n: int, atom_floor: float, ball):
+def _near_bracket(F, bounds, fvals, atom_floor: float, ball):
     """Bracket all pairs within _NEAR_WINDOW parent cells of the diagonal.
 
-    The near bucket is evaluated on the nested partition _NEAR_FACTOR times
-    finer, restricted to fine pairs whose parent cells are at most
+    The near bucket is evaluated on the round's partition (bounds, fvals)
+    _NEAR_FACTOR times finer, whose every _NEAR_FACTOR-th boundary is a
+    coarse one, restricted to fine pairs whose parent cells are at most
     _NEAR_WINDOW apart (the coarse off-diagonal sums start just beyond that
     window, so every pair is counted exactly once).  The window needs to
     reach only as far as the coarse brackets' second-order error, which
@@ -447,9 +446,9 @@ def _near_bracket(F, n: int, atom_floor: float, ball):
     fine pairs at lag >= 1 that the lag sums bracketed.
     """
     W, s = _NEAR_WINDOW, _NEAR_FACTOR
-    bounds, fvals = _partition_arrays(F, n * s)
     widths = np.diff(bounds)
     masses = np.diff(fvals)
+    m = masses.size
     if not F.continuous:
         # r consecutive width-floor cells mean r+1 mass-uniform quantile
         # targets share one point, certifying an atom of mass at least
@@ -460,9 +459,8 @@ def _near_bracket(F, n: int, atom_floor: float, ball):
             pad = np.concatenate(([0], collapsed.view(np.int8), [0]))
             steps = np.diff(pad)
             runs = np.flatnonzero(steps == -1) - np.flatnonzero(steps == 1)
-            if float(np.max(runs)) * F.total_mass / (n * s) >= _ATOM_MASS_FRACTION * F.total_mass:
+            if float(np.max(runs)) * F.total_mass / m >= _ATOM_MASS_FRACTION * F.total_mass:
                 return math.inf, math.inf, 0, True
-    m = masses.size
     parent = np.arange(m, dtype=np.int64) // s
 
     def keep(L):
@@ -474,7 +472,7 @@ def _near_bracket(F, n: int, atom_floor: float, ball):
 
     cents = _centroid_brackets(F, bounds, fvals, _NEAR_CENTROID_POINTS)
     lows, ups, pairs = _bracket_sums(bounds, masses, cents, 1, (W + 1) * s, keep)
-    diag_lo = float(np.sum(masses * masses * _kern(np.maximum(widths, _TINY))))
+    diag_lo = float(np.sum(masses * masses * _kern_inplace(np.maximum(widths, _TINY))))
     diag_up = diag_lo
     if ball is not None:
         self_up, touch_up = _diag_uppers(bounds, masses, ball)
@@ -499,8 +497,11 @@ def energy_double_stieltjes(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureCo
         return EnergyEstimate(value, lo, up, verdict, tuple(trace), reason, kind, tuple(work))
 
     for n in cfg.depth_schedule:
-        # the near bucket first: an atom ends the solve before any far field
-        near_lo, near_up, near_pairs, atom_hit = _near_bracket(F, n, atom_floor, ball)
+        # one partition per round, the near bucket's: the far field reads
+        # every _NEAR_FACTOR-th boundary, so the two nest by construction.
+        # The near bucket goes first: an atom ends the solve before any far field.
+        bounds, fvals = _partition_arrays(F, n * _NEAR_FACTOR)
+        near_lo, near_up, near_pairs, atom_hit = _near_bracket(F, bounds, fvals, atom_floor, ball)
         if atom_hit:
             work.append((n, 0, 0))
             trace.append((n, math.inf, math.inf))
@@ -508,7 +509,7 @@ def energy_double_stieltjes(F: MonotoneCDF, cfg: QuadratureConfig = QuadratureCo
         off_lo = off_up = 0.0
         far_pairs = 0
         if n > _NEAR_WINDOW + 1:
-            bounds, fvals = _partition_arrays(F, n)
+            bounds, fvals = bounds[::_NEAR_FACTOR], fvals[::_NEAR_FACTOR]
             cents = _centroid_brackets(F, bounds, fvals, _CENTROID_POINTS)
             lows, ups, far_pairs = _bracket_sums(bounds, np.diff(fvals), cents, _NEAR_WINDOW + 1, n)
             off_lo, off_up = math.fsum(lows), math.fsum(ups)

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import (BadBeta, BadParams, BudgetExceeded, DepthExceeded,
                      TooFewPoints)
-from .measures import (KIND_CANTOR_ITERATE, MonotoneCDF, default_modulus_grid,
-                       sampled_modulus)
+from .measures import (KIND_CANTOR_ITERATE, MonotoneCDF, _log_modulus_ratios,
+                       default_modulus_grid, sampled_modulus)
 
 __all__ = [
     "CantorSpec",
@@ -345,38 +345,15 @@ def log_modulus_certificate(spec: CantorSpec) -> LogModulusReport:
             scales.append(dn)
     scales = sorted(set(scales), reverse=True)
 
-    grid = default_modulus_grid(F, LOG_MODULUS_SAMPLES)
-    mods = np.atleast_1d(sampled_modulus(F, np.array(scales), grid=grid))
-    edge_incs = np.atleast_1d(F(np.array(scales)))
-    ratios = []
-    edge_ratios = []
-    holds = True
-    edge_holds = True
-    worst_ratio = -math.inf
-    worst_scale = math.nan
-    edge_worst_ratio = -math.inf
-    edge_worst_scale = math.nan
+    ys = np.array(scales)
     trunc = 2.0 ** (1 - spec.depth)
-    for y, mod, einc in zip(scales, mods, edge_incs):
-        weight = abs(math.log(y)) ** beta
-        slack = trunc * weight + 1e-9
-        ratio = float(mod) * weight
-        ratios.append(ratio)
-        if ratio > 1.0 + slack:
-            holds = False
-        if ratio > worst_ratio:
-            worst_ratio = ratio
-            worst_scale = y
-        eratio = float(einc) * weight
-        edge_ratios.append(eratio)
-        if eratio > 1.0 + slack:
-            edge_holds = False
-        if eratio > edge_worst_ratio:
-            edge_worst_ratio = eratio
-            edge_worst_scale = y
+    mods = sampled_modulus(F, ys, grid=default_modulus_grid(F, LOG_MODULUS_SAMPLES))
+    ratios, holds, worst_ratio, worst_scale = _log_modulus_ratios(ys, mods, beta, trunc)
+    edge_ratios, edge_holds, edge_worst_ratio, edge_worst_scale = _log_modulus_ratios(
+        ys, F(ys), beta, trunc)
     return LogModulusReport(beta, eps, holds, worst_ratio, worst_scale,
                             edge_holds, edge_worst_ratio, edge_worst_scale,
-                            tuple(scales), tuple(ratios), tuple(edge_ratios))
+                            tuple(scales), tuple(ratios.tolist()), tuple(edge_ratios.tolist()))
 
 
 # ----------------------------------------------------------------------

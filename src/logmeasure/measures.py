@@ -41,6 +41,8 @@ __all__ = [
     "mass_uniform_partition",
     "cdf_from_step_density",
     "l1_divergent_blocks",
+    "arcsin_profile_cdf",
+    "default_modulus_grid",
     "sampled_modulus",
 ]
 
@@ -566,7 +568,7 @@ def cdf_from_step_density(f: StepDensity) -> MonotoneCDF:
 
 
 # ----------------------------------------------------------------------
-# Sampled modulus helper (shared by regularity criteria and tail bounds)
+# Sampled modulus helpers (shared by criteria, certificates and tail bounds)
 
 
 def default_modulus_grid(F: MonotoneCDF, size: int = 4096) -> np.ndarray:
@@ -600,3 +602,17 @@ def sampled_modulus(F: MonotoneCDF, ys, grid: np.ndarray | None = None):
     if scalar:
         return float(out)
     return out
+
+
+def _log_modulus_ratios(ys: np.ndarray, incs: np.ndarray, beta: float, trunc: float):
+    """The ratios inc * |ln y|**beta against the bound 1/|ln y|**beta.
+
+    Returns (ratios, holds, worst ratio, its scale): holds when every ratio
+    is at most 1 + trunc * |ln y|**beta + 1e-9, trunc the overshoot allowed
+    for a truncated construction (0 for an exact one).
+    """
+    weight = np.abs(np.log(ys)) ** beta
+    ratios = incs * weight
+    k = int(np.argmax(ratios))
+    holds = bool(np.all(ratios <= 1.0 + (trunc * weight + 1e-9)))
+    return ratios, holds, float(ratios[k]), float(ys[k])

@@ -14,14 +14,14 @@ from logmeasure import (
     QuadratureConfig,
     StepDensity,
     UNKNOWN,
-    check_log_modulus,
     classify_membership,
     fit_holder,
     l_log_l_gamma,
+    log_modulus_checks,
     lp_norm,
     l1_divergent_blocks,
-    modulus_of_continuity,
     power_law_cdf,
+    sampled_modulus,
     table_cdf,
     uniform_cdf,
 )
@@ -36,11 +36,11 @@ LN2 = math.log(2.0)
 class TestModulusOfContinuity:
     def test_uniform(self):
         F = uniform_cdf(0.0, 1.0, 1.0)
-        assert modulus_of_continuity(F, 0.1) == pytest.approx(0.1, rel=1e-9)
+        assert float(sampled_modulus(F, 0.1)) == pytest.approx(0.1, rel=1e-9)
 
     def test_cantor_matches_oracle(self):
         F = cantor_cdf(standard_cantor_spec(3.0))
-        assert modulus_of_continuity(F, 1.0 / 9.0) == pytest.approx(
+        assert float(sampled_modulus(F, 1.0 / 9.0)) == pytest.approx(
             cantor_modulus_oracle(1.0 / 9.0), rel=1e-6)
 
 
@@ -80,7 +80,7 @@ class TestFitHolder:
         F = cantor_cdf(standard_cantor_spec(3.0))
         fit = fit_holder(F, 4, 16)
         assert len(fit.mods) == len(fit.scales) == 13
-        assert fit.mods == tuple(modulus_of_continuity(F, y) for y in fit.scales)
+        assert fit.mods == tuple(float(sampled_modulus(F, y)) for y in fit.scales)
 
 
 class TestCheckLogModulus:
@@ -90,25 +90,25 @@ class TestCheckLogModulus:
         F_b2 = cantor_cdf(general_ratio_spec(2.0))
         F_c = cantor_cdf(standard_cantor_spec(3.0))
 
-        rep = check_log_modulus(F_u, 2.0)
+        rep = log_modulus_checks(F_u, (2.0,))[0]
         assert rep["holds"]
         assert rep["worst_ratio"] == pytest.approx(0.37535391712359484, rel=1e-9)
 
-        rep = check_log_modulus(F_t, 2.0)  # atoms break any modulus bound
+        rep = log_modulus_checks(F_t, (2.0,))[0]  # atoms break any modulus bound
         assert not rep["holds"]
         assert rep["worst_ratio"] == pytest.approx(29.067407342051183, rel=1e-9)
 
         # the doubly exponential family satisfies the beta = 1.5 bound but
         # its windowed beta = 2 supremum overshoots (ratio 1.50 at the
         # level-interaction scale)
-        rep = check_log_modulus(F_b2, 1.5)
+        rep = log_modulus_checks(F_b2, (1.5,))[0]
         assert rep["holds"]
         assert rep["worst_ratio"] == pytest.approx(0.8656243220792096, rel=1e-9)
-        rep = check_log_modulus(F_b2, 2.0)
+        rep = log_modulus_checks(F_b2, (2.0,))[0]
         assert not rep["holds"]
         assert rep["worst_ratio"] == pytest.approx(1.5014156684943794, rel=1e-9)
 
-        rep = check_log_modulus(F_c, 2.0)
+        rep = log_modulus_checks(F_c, (2.0,))[0]
         assert not rep["holds"]
         assert rep["worst_ratio"] == pytest.approx(1.1260617513707845, rel=1e-9)
 
@@ -116,7 +116,7 @@ class TestCheckLogModulus:
         from logmeasure import BadBeta
 
         with pytest.raises(BadBeta):
-            check_log_modulus(uniform_cdf(0.0, 1.0, 1.0), 1.0)
+            log_modulus_checks(uniform_cdf(0.0, 1.0, 1.0), (1.0,))
 
 
 class TestIntegrabilityFunctionals:
@@ -156,20 +156,45 @@ class TestClassifierSampling:
         return seen
 
     def test_lipschitz_gate_reuses_the_fit(self, monkeypatch):
-        seen = self._spy(monkeypatch, "sampled_modulus")
-        v = classify_membership(uniform_cdf())
-        assert v.rule == "Lipschitz"
-        # 13 fitting scales 2^-4 .. 2^-16, then 4 out-of-sample ones
-        assert sum(np.size(ys) for ys in seen) == 17
+        # one sample over the 13 fitting scales 2^-4 .. 2^-16 and the 4
+        # out-of-sample ones, for inputs that conclude at Lipschitz or Holder
+        for F, rule in [(uniform_cdf(), "Lipschitz"),
+                        (cantor_cdf(standard_cantor_spec(3.0)), "Holder"),
+                        (power_law_cdf(1.0, 0.5, 1.0), "Holder")]:
+            seen = self._spy(monkeypatch, "sampled_modulus")
+            v = classify_membership(F)
+            assert v.rule == rule
+            assert [np.size(ys) for ys in seen] == [17]
+            monkeypatch.undo()
 
     def test_log_modulus_gate_samples_once(self, monkeypatch):
         # Cantor K = 5.209 fails the Holder out-of-sample check and every
-        # log-modulus bound: 13 fitting scales, 4 out-of-sample ones, then
-        # one sample over 2^-4 .. 2^-40 for beta = 1.5, 2 and 3
-        seen = self._spy(monkeypatch, "sampled_modulus")
-        v = classify_membership(cantor_cdf(standard_cantor_spec(5.209)))
-        assert v.rule == "EnergyDirect"
-        assert [np.size(ys) for ys in seen] == [13, 4, 37]
+        # log-modulus bound; the beta = 2 family fails the Holder check and
+        # passes at beta = 1.5.  The log gate reads 2^-4 .. 2^-20 from the
+        # shared sample and samples only 2^-21 .. 2^-40.
+        for F, rule in [(cantor_cdf(standard_cantor_spec(5.209)), "EnergyDirect"),
+                        (cantor_cdf(general_ratio_spec(2.0)), "LogModulus")]:
+            seen = self._spy(monkeypatch, "sampled_modulus")
+            v = classify_membership(F)
+            assert v.rule == rule
+            assert [np.size(ys) for ys in seen] == [17, 20]
+            assert np.array_equal(np.concatenate(seen), 2.0 ** -np.arange(4, 41.0))
+            monkeypatch.undo()
+
+    def test_log_gate_starts_inside_the_shared_sample(self):
+        # the weakest bound's first scale 2^-4 (beta = 1.5) is the first
+        # fitting scale, so the gate's scales 2^-j0 .. 2^-40 continue the
+        # classifier's sample with none missing
+        betas = criteria_mod.LOG_MODULUS_BETAS
+        j0s = [int(math.ceil(-math.log2(math.exp(-(b + 1.0))))) for b in betas]
+        assert (betas[0], min(j0s)) == (1.5, 4)
+        assert min(j0s) == criteria_mod.DEFAULT_FIT_RANGE[0]
+        # and its witness is that of a sample of its own
+        F = cantor_cdf(general_ratio_spec(2.0))
+        v = classify_membership(F)
+        own = log_modulus_checks(F, betas)[0]
+        assert (v.rule, v.witness) == ("LogModulus", {"beta": 1.5, **{
+            k: own[k] for k in ("eps_used", "worst_ratio")}})
 
     @pytest.mark.parametrize("F", [
         uniform_cdf(), cantor_cdf(general_ratio_spec(2.0)),
@@ -185,7 +210,6 @@ class TestClassifierSampling:
                                  * np.abs(np.log(ys)) ** beta))
             assert rep == {"holds": worst <= 1.0 + 1e-9, "eps_used": eps,
                            "worst_ratio": worst}
-            assert check_log_modulus(F, beta) == rep
 
     def test_grid_only_for_continuous_cdfs(self, monkeypatch):
         seen = self._spy(monkeypatch, "default_modulus_grid")

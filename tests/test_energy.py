@@ -22,6 +22,7 @@ from logmeasure import (
     energy_density,
     energy_double_stieltjes,
     energy_one_sided,
+    general_ratio_spec,
     holder_energy_bound,
     l1_divergent_blocks,
     logplus_kernel,
@@ -411,10 +412,11 @@ class TestBracketSumsBitIdentical:
             return bracket_sums_reference(*args)
 
         monkeypatch.setattr(energy_mod, "_bracket_sums", recording)
-        energy_mod._near_bracket(self.MEASURES[name](), 64, 0.0, None)
+        W, s = energy_mod._NEAR_WINDOW, energy_mod._NEAR_FACTOR
+        F = self.MEASURES[name]()
+        energy_mod._near_bracket(F, *_partition_arrays(F, 64 * s), 0.0, None)
         (args,) = calls
         bounds, masses, cents, lag_lo, lag_hi, keep = args
-        W, s = energy_mod._NEAR_WINDOW, energy_mod._NEAR_FACTOR
         assert (masses.size, lag_lo, lag_hi) == (64 * s, 1, (W + 1) * s)
         # lags up to W s lie inside the window and take all pairs; only the
         # lags beyond it select
@@ -585,6 +587,47 @@ class TestWorkRecord:
         assert len(est.work) == len(est.trace)
         assert est.work[-1] == (est.trace[-1][0], 0, 0)
         assert energy_double_stieltjes(table_cdf([0.3], [1.2])).work == ((16, 0, 0),)
+
+    def test_one_partition_per_round(self, monkeypatch):
+        """The round's coarse cells are every S-th fine boundary of the one
+        partition it builds, so the near and far buckets nest."""
+        sizes, far = [], []
+        partition, bracket_sums = energy_mod._partition_arrays, energy_mod._bracket_sums
+
+        def partition_spy(F, n):
+            sizes.append(n)
+            return partition(F, n)
+
+        def bracket_spy(bounds, masses, cents, lag_lo, lag_hi, keep=None):
+            if keep is None:
+                far.append(bounds)
+            return bracket_sums(bounds, masses, cents, lag_lo, lag_hi, keep)
+
+        monkeypatch.setattr(energy_mod, "_partition_arrays", partition_spy)
+        monkeypatch.setattr(energy_mod, "_bracket_sums", bracket_spy)
+        F = power_law_cdf(1.0, 0.5, 1.0)
+        est = energy_double_stieltjes(F)
+        rounds = [t[0] for t in est.trace]
+        assert sizes == [n * self.S for n in rounds]
+        assert [b.size - 1 for b in far] == rounds
+        for n, bounds in zip(rounds, far):
+            assert np.array_equal(bounds, partition(F, n * self.S)[0][:: self.S])
+
+    @pytest.mark.parametrize("F", [
+        uniform_cdf(-0.3, 0.61, 1.7), power_law_cdf(1.0, 0.5, 1.0),
+        power_law_cdf(1.3, 0.05, 0.7), cantor_cdf(standard_cantor_spec(3.0)),
+        cantor_cdf(general_ratio_spec(2.0)), cantor_cdf(general_ratio_spec(3.0)),
+        table_cdf([0.0, 0.5, 1.0], [0.2, 0.7, 1.0])],
+        ids=["uniform", "power-half", "power-0.05", "K3", "beta2", "beta3", "table"])
+    def test_coarse_slice_is_the_coarse_partition(self, F):
+        # M (S j) / (S n) = M j / n exactly for S a power of two, quantiles
+        # and bisection act elementwise, so the slice is bit-identical to a
+        # partition of its own
+        for n in (16, 64, 1024):
+            bounds, fvals = _partition_arrays(F, n * self.S)
+            want = _partition_arrays(F, n)
+            assert np.array_equal(bounds[:: self.S], want[0])
+            assert np.array_equal(fvals[:: self.S], want[1])
 
     def test_other_engines_leave_it_empty(self):
         assert energy_one_sided(uniform_cdf()).work == ()

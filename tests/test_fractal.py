@@ -16,7 +16,8 @@ from logmeasure import (
     log_modulus_certificate,
     standard_cantor_spec,
 )
-from logmeasure.fractal import _gamma_eval
+from logmeasure.fractal import LOG_MODULUS_SAMPLES, _gamma_eval
+from logmeasure.measures import default_modulus_grid, sampled_modulus
 from oracles import (
     beta_pointwise_dim_oracle,
     cantor_gamma_oracle,
@@ -185,6 +186,40 @@ class TestLogModulusCertificate:
     def test_beta_three_halves_edge_holds(self):
         cert = log_modulus_certificate(general_ratio_spec(1.5, depth=40))
         assert cert.edge_holds
+
+    @pytest.mark.parametrize("depth", [3, 30])
+    @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
+    def test_matches_a_scalar_recomputation(self, beta, depth):
+        """Both forms against a scale-by-scale loop in Python math: dyadic
+        scales from the first below e^-(beta+1) to 2^-40 plus the level
+        lengths in that range, slack 2^(1-depth) |ln y|^beta + 1e-9 (at
+        depth 3 the slack decides the beta = 2 and beta = 3 verdicts)."""
+        spec = general_ratio_spec(beta, depth=depth)
+        cert = log_modulus_certificate(spec)
+        F = cantor_cdf(spec)
+        eps = math.exp(-(beta + 1.0))
+        scales = {2.0**-j for j in range(60) if 2.0**-40 <= 2.0**-j <= eps}
+        scales |= {math.exp(spec.d_log(n)) for n in range(1, spec.depth + 1)
+                   if 2.0**-40 <= math.exp(spec.d_log(n)) <= eps}
+        scales = sorted(scales, reverse=True)
+        assert list(cert.scales) == scales
+        grid = default_modulus_grid(F, LOG_MODULUS_SAMPLES)
+        forms = {"sup": [float(sampled_modulus(F, y, grid=grid)) for y in scales],
+                 "edge": [float(F(y)) for y in scales]}
+        got = {"sup": (cert.holds, cert.worst_ratio, cert.worst_scale, cert.ratios),
+               "edge": (cert.edge_holds, cert.edge_worst_ratio, cert.edge_worst_scale,
+                        cert.edge_ratios)}
+        for form, incs in forms.items():
+            ratios, holds = [], True
+            for y, inc in zip(scales, incs):
+                weight = abs(math.log(y)) ** beta
+                ratios.append(inc * weight)
+                holds = holds and inc * weight <= 1.0 + 2.0 ** (1 - spec.depth) * weight + 1e-9
+            k = max(range(len(ratios)), key=lambda i: (ratios[i], -i))
+            c_holds, c_worst, c_scale, c_ratios = got[form]
+            assert (c_holds, c_scale) == (holds, scales[k])
+            assert c_worst == pytest.approx(ratios[k], rel=1e-15, abs=0.0)
+            assert c_ratios == pytest.approx(ratios, rel=1e-15, abs=0.0)
 
 
 class TestBoxCountingDimension:
