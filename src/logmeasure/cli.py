@@ -75,9 +75,21 @@ def _load_json(path: str) -> dict:
 
 
 def _write_text(out_dir: str, name: str, text: str) -> str:
+    """Write ``text`` as a new file ``name`` in ``out_dir``, replacing any
+    file, symlink or hard link of that name without writing through it.
+
+    The old name is unlinked rather than truncated: on ext4 (with its
+    default ``auto_da_alloc``) truncating a file to zero and closing it, or
+    renaming over it, forces writeback of the new data, while a new inode's
+    pages are written back lazily.
+    """
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    with open(path, "x", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return path
 
@@ -326,9 +338,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser of this process, built by the first ``main`` call.  Parsing
+# does not change it: each call gets a fresh namespace of its own.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.fn(args)
     except LogMeasureError as exc:

@@ -136,8 +136,10 @@ class QuadratureConfig:
     def __post_init__(self):
         if not self.depth_schedule or any(n < 1 for n in self.depth_schedule):
             raise BadParams("depth_schedule must list positive partition sizes")
-        if self.divergence_budget <= 0 or self.agreement_tol <= 0:
-            raise BadParams("budget and tolerance must be positive")
+        for name in ("divergence_budget", "agreement_tol"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # also refuses NaN
+                raise BadParams(f"{name} must be positive and finite, got {value!r}")
 
 
 # ----------------------------------------------------------------------

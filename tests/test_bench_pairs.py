@@ -3,6 +3,7 @@ a wrong output."""
 import importlib.util
 import json
 import pathlib
+import platform
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 
@@ -71,8 +72,16 @@ def test_complete_run_summarises_every_pair(tmp_path):
         "--change", _checkout(tmp_path, "change", 0.5, fail_seed=-1),
         "--workload", "w", "--seeds", "1-4", "--seconds", "1", "--out", str(out)])
     assert code == 0
-    record = json.loads(out.read_text())["workloads"]["w"]
+    doc = json.loads(out.read_text())
+    record = doc["workloads"]["w"]
     assert len(record["pairs"]) == 4
+    host = doc["machine"]
+    assert host["kernel"] == platform.release()
+    for side in ("parent", "change"):
+        mount = host["out_mount"][side]
+        out_dir = str((tmp_path / side / "lmbench" / "out").resolve())
+        assert out_dir.startswith(mount["mount_point"].rstrip("/") + "/")
+        assert mount["fs_type"] and mount["options"]
     assert "incomplete" not in record
     assert record["end_to_end"]["round_s"]["change_lower_in_pairs"] == 4
     assert record["failed_share"]["parent"] == ["0/24"] * 4
@@ -133,3 +142,21 @@ def test_wrong_traced_output_ends_the_measurement(tmp_path):
     assert entry["metrics"]["round_s"]["value"] == 3.0
     assert record["traced"]["change"] == []
     assert record["incomplete"] == "parent run on seed 3 gave a wrong output"
+
+
+def test_mount_of_takes_the_longest_later_mount_point(tmp_path):
+    table = tmp_path / "mounts"
+    table.write_text("\n".join([
+        "/dev/vda / ext4 rw,relatime 0 0",
+        "tmpfs /data tmpfs rw 0 0",
+        "/dev/vdb /data ext4 rw,noatime 0 0",
+        "tmpfs /data/my\\040runs xfs ro 0 0",
+        "tmpfs /dat tmpfs rw 0 0",
+    ]) + "\n")
+    mount_of = _bench_pairs().mount_of
+    assert mount_of("/data/lmbench/out", str(table)) == {
+        "mount_point": "/data", "fs_type": "ext4", "options": "rw,noatime"}
+    assert mount_of("/data/my runs/out", str(table))["fs_type"] == "xfs"
+    assert mount_of("/datasets/out", str(table))["mount_point"] == "/"
+    assert mount_of("/data", str(table))["mount_point"] == "/data"
+    assert mount_of("/data", str(tmp_path / "missing")) is None

@@ -1,6 +1,7 @@
 """End-to-end CLI contract: subcommands, exit codes, deterministic output."""
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -190,6 +191,41 @@ class TestCantorCommand:
     def test_config_required(self, tmp_path):
         r = run_cli("cantor", "--out-dir", tmp_path)
         assert r.returncode == 1
+
+    @staticmethod
+    def _cantor(out, depth):
+        argv = ["cantor", "--config", CORPUS / "cantor3.json", "--depth", depth, "--out-dir", out]
+        assert cli.main([str(a) for a in argv]) == 0
+
+    def test_rewrite_matches_fresh_directory(self, tmp_path):
+        out = tmp_path / "out"
+        self._cantor(out, 6)
+        old = out / "intervals.csv"
+        old_text = old.read_text()
+        with open(old, encoding="utf-8") as held:
+            # holding the old file open keeps its inode number from being reused
+            self._cantor(out, 3)
+            assert os.fstat(held.fileno()).st_ino != os.stat(old).st_ino
+            assert held.read() == old_text  # written around, not truncated
+        self._cantor(tmp_path / "fresh", 3)
+        for name in ("cantor.json", "intervals.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+    def test_report_replaces_links(self, tmp_path):
+        # a symlink or hard link at a report's name is replaced by a new
+        # regular file; what it pointed at keeps its contents
+        out, target = tmp_path / "out", tmp_path / "target.txt"
+        out.mkdir()
+        target.write_text("keep\n")
+        (out / "cantor.json").symlink_to(target)
+        os.link(target, out / "intervals.csv")
+        self._cantor(out, 3)
+        self._cantor(tmp_path / "fresh", 3)
+        assert target.read_text() == "keep\n"
+        assert os.stat(target).st_nlink == 1
+        for name in ("cantor.json", "intervals.csv"):
+            assert not (out / name).is_symlink()
+            assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
 
 class TestRadialCommand:
@@ -505,6 +541,21 @@ class TestEngineSettings:
         engine_argv = _DENSITY + (CORPUS / "step_divergent.json",)
         _rejected(capsys, tmp_path, self._argv(tmp_path, engine_argv, flags, config))
 
+    @pytest.mark.parametrize("argv,flags,config,key", [
+        (("classify",), ("--tol", "nan"), None, "agreement_tol"),
+        (("energy",), ("--tol", "inf"), None, "agreement_tol"),
+        (("classify",), (), {"agreement_tol": "nan"}, "agreement_tol"),
+        (("energy",), (), {"agreement_tol": "inf"}, "agreement_tol"),
+        (("energy",), (), {"divergence_budget": "nan"}, "divergence_budget"),
+        (("classify",), (), {"divergence_budget": "inf"}, "divergence_budget"),
+    ], ids=["tol-nan", "tol-inf", "config-tol-nan", "config-tol-inf", "config-budget-nan",
+            "config-budget-inf"])
+    def test_non_finite_setting_rejected(self, capsys, tmp_path, argv, flags, config, key):
+        # a NaN tolerance ran the whole ladder; an infinite one converged at n = 16
+        engine_argv = argv + ("--measure", CORPUS / "uniform.json")
+        err = _rejected(capsys, tmp_path, self._argv(tmp_path, engine_argv, flags, config))
+        assert f"{key} must be positive and finite" in err
+
     def test_density_reads_the_budget(self, tmp_path):
         # one block of height e on [0, 1/e]: energy 2.5, so a budget of 1
         # makes the exact block sum certify divergence
@@ -518,3 +569,31 @@ class TestEngineSettings:
             assert cli.main([str(a) for a in argv]) == 0
             verdicts.append(json.loads((out / "energy.json").read_text())["estimate"]["verdict"])
         assert verdicts == ["FiniteConverged", "Divergent"]
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process; calls share no state."""
+
+    def test_parser_built_once_and_calls_independent(self, monkeypatch, tmp_path):
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        levels = []
+        for k, depth in enumerate((5, None, 4, None)):
+            out = tmp_path / str(k)
+            argv = ["cantor", "--config", str(CORPUS / "cantor3.json"), "--out-dir", str(out)]
+            if depth is not None:
+                argv += ["--depth", str(depth)]
+            assert cli.main(argv) == 0
+            levels.append(json.loads((out / "cantor.json").read_text())["level"])
+            with pytest.raises(SystemExit):  # a rejected command line in between
+                cli.main(["cantor", "--depth", "x"])
+        # cantor3.json has depth 30, so a call without --depth runs level 10
+        assert levels == [5, 10, 4, 10]
+        assert len(built) == 1

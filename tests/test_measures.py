@@ -198,3 +198,7 @@ class TestQuadratureConfig:
             QuadratureConfig(depth_schedule=())
         with pytest.raises(BadParams):
             QuadratureConfig(agreement_tol=0.0)
+        for key in ("agreement_tol", "divergence_budget"):
+            for bad in (math.nan, math.inf, -1.0):
+                with pytest.raises(BadParams, match=key):
+                    QuadratureConfig(**{key: bad})

@@ -10,6 +10,8 @@ TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "same_outputs.
 # the path of the measure or config file reduced to its name) and echoes
 # the subcommand.  TWIST is added to every velocity report; REPRO_EXIT is
 # the exit code of ``repro b``; a scenario not in SCENARIO_NAMES exits 1.
+# ``cantor`` opens its report with CANTOR_MODE, so "a" appends to the
+# report that an earlier run left.
 CLI = '''
 import os, sys
 from logmeasure.scenarios import SCENARIO_NAMES
@@ -19,7 +21,8 @@ def main():
     if argv[0] == "repro" and argv[1] not in SCENARIO_NAMES:
         sys.stderr.write("error: BadParams: unknown scenario\\n")
         return 1
-    with open(os.path.join(argv[-1], "report.json"), "w") as fh:
+    mode = CANTOR_MODE if argv[0] == "cantor" else "w"
+    with open(os.path.join(argv[-1], "report.json"), mode) as fh:
         fh.write(" ".join(argv) + (TWIST if argv[0] == "velocity" else ""))
     print(argv[0])
     return REPRO_EXIT if argv[:2] == ["repro", "b"] else 0
@@ -36,13 +39,14 @@ def _tool():
 
 
 def _checkout(root: pathlib.Path, name: str, scenarios, twist: str = "",
-              repro_exit: int = 0) -> str:
+              repro_exit: int = 0, cantor_mode: str = "w") -> str:
     pkg = root / name / "src" / "logmeasure"
     pkg.mkdir(parents=True)
     (pkg / "__init__.py").write_text("")
     (pkg / "scenarios.py").write_text(f"SCENARIO_NAMES = {tuple(scenarios)!r}\n")
     (pkg / "cli.py").write_text(CLI.replace("TWIST", repr(twist))
-                                .replace("REPRO_EXIT", str(repro_exit)))
+                                .replace("REPRO_EXIT", str(repro_exit))
+                                .replace("CANTOR_MODE", repr(cantor_mode)))
     corpus = root / name / "tests" / "corpus"
     corpus.mkdir(parents=True)
     for doc in ("cantor3", "uniform"):
@@ -64,16 +68,25 @@ def test_every_difference_is_listed(tmp_path, capsys):
     assert code == 1
     lines = capsys.readouterr().out.splitlines()
     corpus = tmp_path / "change" / "tests" / "corpus"
-    assert lines == [
-        f"velocity --measure {corpus / 'cantor3.json'}: report.json differs",
-        f"velocity --measure {corpus / 'uniform.json'}: report.json differs",
-        "repro b: exit code differs",
-        "repro c: exit code differs",
-        "repro c: stdout differs",
-        "repro c: stderr differs",
-        "repro c: report.json written by one side only",
-        "7 difference(s)",
-    ]
+    velocity = [f"velocity --measure {corpus / f}{mark}: report.json differs"
+                for f in ("cantor3.json", "uniform.json") for mark in ("", " (rerun)")]
+    repro_c = [f"repro c{mark}: {what}" for mark in ("", " (rerun)") for what in (
+        "exit code differs", "stdout differs", "stderr differs",
+        "report.json written by one side only")]
+    assert lines == velocity + ["repro b: exit code differs",
+                                "repro b (rerun): exit code differs"] + repro_c + [
+        "14 difference(s)"]
+
+
+def test_rerun_in_a_filled_directory_is_compared(tmp_path, capsys):
+    # the change appends to the report a previous run left; its first run
+    # in an empty directory writes the same bytes as the parent's
+    code = _tool().main(["--parent", _checkout(tmp_path, "parent", "ab"),
+                         "--change", _checkout(tmp_path, "change", "ab", cantor_mode="a")])
+    assert code == 1
+    cantor3 = tmp_path / "change" / "tests" / "corpus" / "cantor3.json"
+    assert capsys.readouterr().out.splitlines() == [
+        f"cantor --config {cantor3} (rerun): report.json differs", "1 difference(s)"]
 
 
 def test_commands_cover_the_corpus_repro_and_extra_documents(tmp_path):

@@ -12,8 +12,10 @@ runs per side on the seeds after the last one, also alternating.  The
 record for the workload (every run's result line; median and quartiles of
 each end-to-end metric per side; the pairs the change won; per side, the
 median over pairs of each operation's median time; the per-layer metrics of
-the traced runs) is merged into ``--out`` with the core count and the
-library versions.  Run it on an otherwise idle machine.
+the traced runs) is merged into ``--out`` with the core count, the kernel
+release, the library versions and, per side, the filesystem type and mount
+options of the mount that holds ``lmbench/out`` (from ``/proc/self/mounts``;
+null where that cannot be read).  Run it on an otherwise idle machine.
 
 Operation times come from the ``lmbench/out/result-<workload>-seed<seed>-trace0.json``
 file that each plain run writes in its checkout; a run that wrote none adds
@@ -33,6 +35,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -75,14 +78,43 @@ def op_medians(path: str, before) -> dict:
     return {op: statistics.median(ts) for op, ts in times.items() if ts}
 
 
-def save(path: str, workload: str, record: dict) -> None:
-    """Merge the workload's record into the JSON file at ``path``."""
+def mount_of(path: str, table: str = "/proc/self/mounts"):
+    """Mount point, filesystem type and options of the mount holding
+    ``path`` in the mount table ``table``: the longest mount point above
+    it, the later line where one point is mounted twice.  None if the table
+    cannot be read."""
+    try:
+        with open(table, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        return None
+    target, best = os.path.realpath(path), None
+    for line in lines:
+        # the table writes a space, tab, newline or backslash in a path as \ooo
+        point, fs_type, options = line.split()[1:4]
+        point = re.sub(r"\\([0-7]{3})", lambda m: chr(int(m.group(1), 8)), point)
+        inside = target == point or target.startswith(point.rstrip("/") + "/")
+        if inside and (best is None or len(point) >= len(best["mount_point"])):
+            best = {"mount_point": point, "fs_type": fs_type, "options": options}
+    return best
+
+
+def machine(sides: dict) -> dict:
+    """The host's description, with the mount of each side's ``lmbench/out``."""
+    return {"cores": os.cpu_count(), "kernel": platform.release(),
+            "python": platform.python_version(), "numpy": numpy.__version__,
+            "OPENBLAS_NUM_THREADS": "1 (set by lmbench)",
+            "out_mount": {s: mount_of(os.path.join(c, "lmbench", "out")) for s, c in sides.items()}}
+
+
+def save(path: str, workload: str, record: dict, host: dict) -> None:
+    """Merge the workload's record into the JSON file at ``path``, with the
+    host description ``host``."""
     doc = {}
     if os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    doc["machine"] = {"cores": os.cpu_count(), "python": platform.python_version(),
-                      "numpy": numpy.__version__, "OPENBLAS_NUM_THREADS": "1 (set by lmbench)"}
+    doc["machine"] = host
     doc.setdefault("workloads", {})[workload] = record
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
@@ -120,6 +152,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     first, last = (int(s) for s in args.seeds.split("-"))
     sides = {"parent": args.parent, "change": args.change}
+    host = machine(sides)
 
     pairs = []
     record = {"seconds": args.seconds, "pairs": pairs}
@@ -134,7 +167,7 @@ def main(argv=None) -> int:
             before = mtime(path)
             pair[side] = run(sides[side], args.workload, seed, args.seconds, 0)
             if failed(pair[side], record, seed, side):
-                save(args.out, args.workload, record)
+                save(args.out, args.workload, record, host)
                 return 1
             print(seed, side, json.dumps(pair[side]["metrics"]), flush=True)
             for op, t in op_medians(path, before).items():
@@ -161,12 +194,12 @@ def main(argv=None) -> int:
             res = run(sides[side], args.workload, seed, args.seconds, 1)
             if failed(res, record, seed, side):
                 traced[side].append({"seed": seed, **res})
-                save(args.out, args.workload, record)
+                save(args.out, args.workload, record, host)
                 return 1
             traced[side].append({"seed": seed, "metrics": {
                 name: m["value"] for name, m in res["metrics"].items()}})
 
-    save(args.out, args.workload, record)
+    save(args.out, args.workload, record, host)
     return 0
 
 

@@ -6,7 +6,9 @@
 parent one with ``git archive``).  Each command runs as
 ``python3 -m logmeasure.cli`` with ``PYTHONPATH`` set to the checkout's
 ``src/`` and ``OPENBLAS_NUM_THREADS=1``, one at a time, in an empty
-directory of its own with ``--out-dir .``.  The commands are:
+directory of its own with ``--out-dir .``, and then a second time in the
+directory its first run filled, so that each report is also written over
+the one a previous run left.  The commands are:
 
 * ``energy`` with every engine, ``classify``, ``radial`` and ``velocity``
   on every file of the change's ``tests/corpus/`` (a command that does not
@@ -17,9 +19,10 @@ directory of its own with ``--out-dir .``.  The commands are:
 * ``classify`` on the general-ratio constructions with beta 1.5, 2 and 3
   and on the standard one with K = 5.209, which the corpus lacks.
 
-Compared per command: the exit code, stdout, stderr and every file written,
-byte for byte.  Each difference is printed on a line of its own; the script
-exits 1 if there is any, else 0.
+Compared per run of each command: the exit code, stdout, stderr and every
+file in its directory, byte for byte.  Each difference is printed on a line
+of its own, marked ``(rerun)`` if the second run found it; the script exits
+1 if there is any, else 0.
 """
 from __future__ import annotations
 
@@ -69,8 +72,9 @@ def commands(corpus: str, engines, scenarios, extras) -> list:
 
 
 def run(checkout: str, argv: list, workdir: str) -> dict:
-    """Exit code, stdout and stderr of one command run in ``workdir``."""
-    os.makedirs(workdir)
+    """Exit code, stdout and stderr of one command run in ``workdir``, which
+    is made if it does not exist."""
+    os.makedirs(workdir, exist_ok=True)
     out = subprocess.run([sys.executable, "-m", "logmeasure.cli", *argv, "--out-dir", "."],
                          cwd=workdir, env=env_for(checkout), capture_output=True, text=True)
     return {"exit code": out.returncode, "stdout": out.stdout, "stderr": out.stderr}
@@ -103,11 +107,12 @@ def main(argv=None) -> int:
                 json.dump(doc, fh)
         for k, cmd in enumerate(commands(corpus, union(ce, pe), union(cs, ps), extras)):
             dirs = {side: os.path.join(tmp, side, str(k)) for side in sides}
-            res = {side: run(sides[side], cmd, dirs[side]) for side in sides}
-            diffs = differences(res["parent"], res["change"], dirs["parent"], dirs["change"])
-            for line in diffs:
-                print(f"{' '.join(cmd)}: {line}", flush=True)
-            found += len(diffs)
+            for mark in ("", " (rerun)"):
+                res = {side: run(sides[side], cmd, dirs[side]) for side in sides}
+                diffs = differences(res["parent"], res["change"], dirs["parent"], dirs["change"])
+                for line in diffs:
+                    print(f"{' '.join(cmd)}{mark}: {line}", flush=True)
+                found += len(diffs)
     print(f"{found} difference(s)")
     return 1 if found else 0
 
