@@ -575,13 +575,12 @@ class TestSharedParser:
     """``main`` builds its parser once per process; calls share no state."""
 
     def test_parser_built_once_and_calls_independent(self, monkeypatch, tmp_path):
-        built = []
+        build_parser, built = cli.build_parser, []
 
         def counting_build_parser():
             built.append(1)
             return build_parser()
 
-        build_parser = cli.build_parser
         monkeypatch.setattr(cli, "_parser", None)
         monkeypatch.setattr(cli, "build_parser", counting_build_parser)
         levels = []
